@@ -212,7 +212,6 @@ def test_serve_multiworker_throughput(ctx, results_dir):
         result.model,
         feature_names=feature_names,
         n_jobs=jobs,
-        max_batch=MICRO_BATCH,
         version=service.version,
     ) as router:
         t0 = time.perf_counter()

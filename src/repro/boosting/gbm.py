@@ -107,7 +107,7 @@ class _BaseGB:
         hist_pool: HistogramPool | None = None
         if jobs > 1 and X.shape[1] > 1:
             hist_pool = HistogramPool(binned, mapper.missing_bin, n_jobs=jobs)
-            if hist_pool.jobs <= 1:  # degenerate split, not worth the hops
+            if hist_pool.workers <= 1:  # one block or no fork: serial grower
                 hist_pool.close()
                 hist_pool = None
         grower = TreeGrower(binned, mapper, cfg, hist_pool=hist_pool)

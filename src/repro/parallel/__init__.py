@@ -1,19 +1,16 @@
-"""Deterministic parallel execution of the experiment grid.
+"""Deterministic parallel execution on one supervised worker pool.
 
-The grid's independent units — CV folds, Fig. 4 cells, per-clinic
-models, ablation arms — run concurrently across a process pool with
-results bitwise-identical to the serial path.  See
-:mod:`repro.parallel.executor` for the execution model and
+Every worker process is a :class:`ShardedPool` worker, with results
+bitwise-identical to the serial path: :func:`parallel_map` runs the
+grid's independent units (CV folds, Fig. 4 cells, per-clinic models,
+ablation arms), and :class:`HistogramPool` (:mod:`repro.parallel.hist`)
+shards one fit's histogram build across contiguous feature blocks.
+See :mod:`repro.parallel.executor` for the execution model and
 :mod:`repro.parallel.shared` for the shared-memory design-matrix
 handoff.
 
 Worker-count selection: explicit ``n_jobs`` arguments beat the
 ``REPRO_JOBS`` environment variable; the default is serial.
-
-:mod:`repro.parallel.hist` extends the same machinery *inside* a
-single fit: a persistent pool shards per-level histogram accumulation
-across contiguous feature blocks, bitwise-identical to the serial
-grower.
 """
 
 from repro.parallel.executor import (

@@ -30,30 +30,33 @@ run on the process backend; anything unpicklable — a lambda model
 factory, say — silently degrades to the serial backend with identical
 results.
 
-Two execution modes ride on the same shared-memory handoff:
+One supervisor, three clients
+-----------------------------
+:class:`ShardedPool` is the only code that spawns, heals, kills and
+closes workers.  The shared arrays are exported once, each long-lived
+worker runs a *map-once* ``setup`` over them, and a task tagged with
+shard ``s`` always executes on worker ``s % n_workers`` (so worker-local
+state such as an LRU result cache sees a deterministic task
+subsequence); a task whose shard is ``None`` goes to whichever worker
+goes idle first.  Its clients:
 
-* :func:`parallel_map` — one pool per call, per-task handoff.  With the
-  ``setup`` option each worker additionally runs a *map-once*
-  initializer over the attached arrays (e.g. materialise a model plane
-  into an explainer) and tasks receive the initializer's state instead
-  of the raw array dict.
-* :class:`ShardedPool` — a *persistent* pool for request serving: the
-  shared arrays are exported once, each long-lived worker runs ``setup``
-  once, and tasks tagged with a shard id always execute on the same
-  worker (``shard % n_workers``), so worker-local state such as an LRU
-  result cache sees a deterministic task subsequence.
+* :func:`parallel_map` — one pool per call over unsharded tasks: the
+  grid's protocol runs, folds, clinics and ablation arms;
+* :class:`~repro.serve.router.ScoringRouter` — row shards hashed by bin
+  codes, one persistent pool per model version;
+* :class:`~repro.parallel.hist.HistogramPool` — one task per feature
+  block and histogram wave, shard = block.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import pickle
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import connection as mp_connection
 from typing import Callable, Iterable, Sequence
 
@@ -71,9 +74,6 @@ __all__ = [
 ]
 
 _IN_WORKER = False
-#: Per-worker task state: the attached shared arrays, or the result of
-#: the map-once ``setup`` initializer when one was given.
-_WORKER_STATE: object = None
 
 
 def in_worker() -> bool:
@@ -112,17 +112,24 @@ def resolve_deadline(task_deadline: float | None = None) -> float | None:
 
     ``None`` consults the environment; unset or ``<= 0`` means no
     deadline (stuck workers are then only reaped at ``close()``).
+    Non-finite values (``inf``, ``nan``) are rejected: an infinite wait
+    overflows the pipe poll, and NaN would silently disable the
+    deadline.
     """
+    source = "task_deadline"
     if task_deadline is None:
         raw = os.environ.get("REPRO_TASK_DEADLINE", "").strip()
         if not raw:
             return None
+        source = "REPRO_TASK_DEADLINE"
         try:
             task_deadline = float(raw)
         except ValueError:
             raise ValueError(
                 f"REPRO_TASK_DEADLINE must be a number, got {raw!r}"
             ) from None
+    if not math.isfinite(task_deadline):
+        raise ValueError(f"{source} must be finite, got {task_deadline!r}")
     return task_deadline if task_deadline > 0 else None
 
 
@@ -139,7 +146,10 @@ def parallel_map(
 
     Results come back in submission order regardless of completion
     order, so the output is identical to
-    ``[fn(item, state) for item in items]`` on every backend.
+    ``[fn(item, state) for item in items]`` on every backend.  The
+    process backend is a one-call :class:`ShardedPool` over unsharded
+    tasks: each item goes to whichever worker goes idle first, and the
+    pool's respawn, deadline and fault-site supervision applies.
 
     Parameters
     ----------
@@ -150,7 +160,7 @@ def parallel_map(
     shared:
         Name -> array mapping attached once per worker.  On the process
         backend large numeric arrays travel via shared memory, the rest
-        piggybacks on the worker initializer — nothing is re-sent per
+        piggybacks on the worker start-up — nothing is re-sent per
         task.
     setup:
         Optional map-once initializer ``setup(arrays, *setup_args) ->
@@ -163,32 +173,13 @@ def parallel_map(
         See :func:`resolve_jobs`.
     """
     items = list(items)
-    shared = dict(shared or {})
-    jobs = min(resolve_jobs(n_jobs), len(items))
-    if jobs <= 1 or not _picklable((fn, items, setup, setup_args)):
-        state = shared if setup is None else setup(shared, *setup_args)
-        return [fn(item, state) for item in items]
-
-    specs, segments = export_shared(shared)
-    try:
-        context = mp.get_context(_start_method())
-        try:
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(specs, setup, setup_args),
-            ) as pool:
-                futures = [pool.submit(_run_unit, fn, item) for item in items]
-                return [future.result() for future in futures]
-        except BrokenProcessPool:
-            # A worker died (resource limits, killed container, ...).
-            # The units are pure, so re-running serially gives the same
-            # results — slower, never different.
-            state = shared if setup is None else setup(shared, *setup_args)
-            return [fn(item, state) for item in items]
-    finally:
-        release_shared(segments)
+    jobs = max(1, min(resolve_jobs(n_jobs), len(items)))
+    if jobs > 1 and not _picklable((fn, items, setup, setup_args)):
+        jobs = 1
+    with ShardedPool(
+        n_jobs=jobs, shared=shared, setup=setup, setup_args=setup_args
+    ) as pool:
+        return pool.scatter(fn, [(None, item) for item in items])
 
 
 def _start_method() -> str:
@@ -205,18 +196,6 @@ def _start_method() -> str:
     return "fork" if use_fork else "spawn"
 
 
-def _init_worker(specs, setup, setup_args) -> None:
-    global _IN_WORKER, _WORKER_STATE
-    _IN_WORKER = True
-    inject("shm.attach")
-    arrays = attach_shared(specs)
-    _WORKER_STATE = arrays if setup is None else setup(arrays, *setup_args)
-
-
-def _run_unit(fn: Callable, item):
-    return fn(item, _WORKER_STATE)
-
-
 def _picklable(payload: Sequence) -> bool:
     try:
         pickle.dumps(payload)
@@ -228,21 +207,22 @@ def _picklable(payload: Sequence) -> bool:
 class ShardedPool:
     """Long-lived workers with stable shard → worker affinity.
 
-    Unlike :func:`parallel_map`'s pool-per-call, a ShardedPool survives
-    across many :meth:`scatter` calls: the shared arrays are exported
-    once at construction, every worker runs ``setup(arrays,
-    *setup_args)`` exactly once, and a task tagged with shard ``s``
-    always executes on worker ``s % n_workers``.  Worker-local state —
-    the scoring plane's per-shard LRU caches above all — therefore sees
-    a deterministic subsequence of the task stream.
+    A ShardedPool survives across many :meth:`scatter` calls: the
+    shared arrays are exported once at construction, every worker runs
+    ``setup(arrays, *setup_args)`` exactly once, and a task tagged with
+    shard ``s`` always executes on worker ``s % n_workers``.
+    Worker-local state — the scoring plane's per-shard LRU caches above
+    all — therefore sees a deterministic subsequence of the task
+    stream.  A task tagged with shard ``None`` has no affinity and goes
+    to whichever worker goes idle first.
 
-    Robustness mirrors :func:`parallel_map`: with ``n_jobs <= 1``, an
-    unpicklable setup, or no usable shared memory the pool degrades to
-    in-process execution (one lazily built local state); a worker dying
-    mid-task routes that worker's tasks to the local state as well —
-    slower, never different (tasks must be pure).  :meth:`close` (or the
-    context manager) shuts workers down and **unlinks every shared
-    segment** even when workers crashed.
+    With ``n_jobs <= 1``, an unpicklable setup, or no way to start
+    workers the pool degrades to in-process execution (one lazily built
+    local state); a worker dying mid-task routes that worker's sharded
+    tasks to the local state as well — slower, never different (tasks
+    must be pure).  :meth:`close` (or the context manager) shuts
+    workers down and **unlinks every shared segment** even when workers
+    crashed.
 
     Self-healing
     ------------
@@ -282,6 +262,8 @@ class ShardedPool:
     #: Per-slot respawn budget and base backoff (doubles per attempt).
     _RESPAWN_LIMIT = 3
     _RESPAWN_BACKOFF = 0.05
+    #: Fault-site prefix: ``<_SITE>.send`` / ``.task`` / ``.task.done``.
+    _SITE = "shard"
 
     def __init__(
         self,
@@ -335,7 +317,14 @@ class ShardedPool:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         proc = self._context.Process(
             target=_shard_worker_loop,
-            args=(child_conn, self._specs, self._setup, self._setup_args, w),
+            args=(
+                child_conn,
+                self._specs,
+                self._setup,
+                self._setup_args,
+                w,
+                self._SITE,
+            ),
             daemon=True,
         )
         proc.start()
@@ -417,13 +406,15 @@ class ShardedPool:
         return self._local_state
 
     # ------------------------------------------------------------------
-    def scatter(self, fn: Callable, tasks: Sequence[tuple[int, object]]) -> list:
+    def scatter(self, fn: Callable, tasks: Sequence[tuple[int | None, object]]) -> list:
         """Run ``fn(payload, state)`` for every ``(shard, payload)`` task.
 
         Results return in task order.  Tasks sharing a shard run on the
         same worker, in order; distinct shards run **concurrently** via
         a window-1 pipeline per worker: a worker receives its next task
-        only after its previous result was read.  The parent therefore
+        only after its previous result was read.  A worker with no
+        sharded task left takes the next ``None``-shard task, so
+        unsharded work balances by completion.  The parent therefore
         only ever sends to an idle worker (which is blocked reading) and
         only ever receives from workers it is not sending to — no pipe
         buffer can fill into a circular wait, whatever the payload or
@@ -443,10 +434,12 @@ class ShardedPool:
             return [fn(payload, state) for _, payload in tasks]
 
         queues: dict[int, deque] = {}
+        unsharded: deque = deque()
         for pos, (shard, payload) in enumerate(tasks):
-            queues.setdefault(shard % self.workers, deque()).append(
-                (pos, payload)
-            )
+            if shard is None:
+                unsharded.append((pos, payload))
+            else:
+                queues.setdefault(shard % self.workers, deque()).append((pos, payload))
         results: list = [None] * len(tasks)
         failed: list[tuple[int, BaseException]] = []
         fallback: list[tuple[int, object]] = []
@@ -455,16 +448,18 @@ class ShardedPool:
 
         def feed(w: int) -> None:
             """Hand worker ``w`` its next sendable queued task, if any."""
-            queue = queues.get(w)
-            while queue:
+            while True:
+                queue = queues.get(w) or unsharded
+                if not queue:
+                    return
                 pos, payload = queue[0]
-                if should_kill("shard.send", w):
+                if should_kill(f"{self._SITE}.send", w):
                     self._kill_worker(w)  # fault plan: crash before send
                 try:
                     self._conns[w].send((fn, payload))
                 except (BrokenPipeError, OSError):
                     self._mark_dead(w)
-                    fallback.extend(queues.pop(w))
+                    fallback.extend(queues.pop(w, ()))
                     return
                 except Exception:
                     # Pickling the task failed, so nothing reached the
@@ -477,7 +472,6 @@ class ShardedPool:
                 queue.popleft()
                 in_flight[w] = (pos, payload, time.perf_counter())
                 return
-            queues.pop(w, None)
 
         def reap_stuck() -> None:
             """Deadline pass: kill and fall back every expired worker."""
@@ -493,9 +487,9 @@ class ShardedPool:
                 fallback.append((pos, payload))
                 fallback.extend(queues.pop(w, ()))
 
-        for w in list(queues):
+        for w in range(self.workers):
             if w in self._dead:
-                fallback.extend(queues.pop(w))
+                fallback.extend(queues.pop(w, ()))
             else:
                 feed(w)
         while in_flight:
@@ -536,6 +530,8 @@ class ShardedPool:
                 else:
                     failed.append((pos, value))
                 feed(w)
+        # Unsharded tasks no live worker could take run in-process too.
+        fallback.extend(unsharded)
         for pos, payload in fallback:
             results[pos] = fn(payload, self._state())
         if failed:
@@ -581,7 +577,7 @@ class ShardedPool:
         self._segments = []
 
 
-def _shard_worker_loop(conn, specs, setup, setup_args, worker_index=0) -> None:
+def _shard_worker_loop(conn, specs, setup, setup_args, worker_index, site):
     """One shard worker: attach the plane once, then serve tasks."""
     global _IN_WORKER
     _IN_WORKER = True
@@ -597,7 +593,7 @@ def _shard_worker_loop(conn, specs, setup, setup_args, worker_index=0) -> None:
             break
         fn, payload = message
         try:
-            inject("shard.task", worker_index)
+            inject(f"{site}.task", worker_index)
             result = fn(payload, state)
         except BaseException as exc:  # ship the failure, keep serving
             try:
@@ -606,5 +602,5 @@ def _shard_worker_loop(conn, specs, setup, setup_args, worker_index=0) -> None:
                 raise exc from None
         else:
             conn.send(("ok", result))
-            inject("shard.task.done", worker_index)
+            inject(f"{site}.task.done", worker_index)
     conn.close()

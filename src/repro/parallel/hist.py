@@ -8,16 +8,22 @@ every scannable node.  :class:`HistogramPool` parallelises that build
 * Features are partitioned once into contiguous blocks, one per worker.
   Block ownership is **fixed for the life of the pool**, so every
   (feature, bin) cell is always accumulated by the same worker.
+* :class:`HistogramPool` is a :class:`~repro.parallel.executor.ShardedPool`
+  client: block ``w`` is shard ``w``, so the pool's one supervisor
+  spawns, heals, kills and closes the block workers.
 * The F-contiguous binned matrix is exported to POSIX shared memory
   once per fit; the round's gradient/hessian arrays are written into a
   pre-created shared buffer once per boosting round
-  (:meth:`HistogramPool.begin_round`).  Long-lived fork workers map all
-  segments read-only at startup — nothing large is ever pickled.
+  (:meth:`HistogramPool.begin_round`).  Each worker's ``setup`` maps the
+  binned matrix read-only and the wave buffers writable — nothing large
+  is ever pickled.
 * The grower batches all nodes of a tree level into one *wave*
   (:meth:`HistogramPool.accumulate`): the concatenated row indices are
-  written to a shared scratch buffer, each worker bincounts its feature
-  block for every node of the wave into its disjoint slice of a shared
-  output buffer, and the parent copies the assembled histograms out.
+  written to a shared scratch buffer, one task per block carries
+  ``(f0, f1, wave bounds, n_channels, mask, flat_rows_max)``, each
+  worker bincounts its feature block for every node of the wave into
+  its disjoint slice of a shared output buffer, and the parent copies
+  the assembled histograms out.
 
 Bitwise determinism
 -------------------
@@ -29,17 +35,16 @@ assembled histograms are bitwise identical to the serial path for any
 worker count (asserted end-to-end in
 ``tests/boosting/test_parallel_fit.py``).
 
-Robustness mirrors :mod:`repro.parallel.executor`: ``n_jobs <= 1``
-degrades to in-process accumulation; when fork is unavailable (spawn
-platforms, multithreaded parents) a thread backend operates directly on
-the parent's arrays; a worker dying mid-fit routes its feature block to
+Robustness is the supervisor's: ``n_jobs <= 1`` — and any parent that
+cannot fork (spawn platforms, multithreaded parents) — accumulates
+in-process; a worker dying mid-fit routes its feature block to
 in-process recompute for the current wave — slower, never different —
-and the supervisor respawns the slot (bounded backoff) before the next
-:meth:`HistogramPool.accumulate`, re-mapping the same segments and the
-same feature block, so block ownership (and with it bitwise identity)
-survives any kill schedule.  With ``task_deadline`` set a *stuck*
-worker is detected mid-wave, its block recomputed in-process and the
-process killed for respawn.  Inside an executor worker
+and the supervisor respawns the slot (bounded backoff) before a later
+wave, re-mapping the same segments and the same feature block, so block
+ownership (and with it bitwise identity) survives any kill schedule.
+With ``task_deadline`` set a *stuck* worker is detected mid-wave, its
+block recomputed in-process and the process killed for respawn.  The
+fault sites keep their ``hist.*`` names.  Inside an executor worker
 :func:`~repro.parallel.executor.resolve_jobs` answers 1, so
 grid-parallel experiment runs never nest a second-level histogram pool.
 """
@@ -47,15 +52,12 @@ grid-parallel experiment runs never nest a second-level histogram pool.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
-from multiprocessing import connection as mp_connection
-from multiprocessing import get_context, shared_memory
+from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.faults import inject, should_kill
-from repro.parallel.executor import _start_method, resolve_deadline, resolve_jobs
+from repro.parallel.executor import ShardedPool, _start_method, resolve_jobs
+from repro.parallel.shared import _ArraySpec, attach_shared, release_shared
 
 __all__ = ["HistogramPool"]
 
@@ -146,62 +148,32 @@ def _accumulate_block(
             block[2, local] = np.bincount(codes, minlength=stride)
 
 
-def _hist_worker_loop(conn, specs, block, flat_rows_max, worker_index=0) -> None:
-    """One feature-block worker: map the segments once, serve waves.
-
-    A wave message is ``(bounds, nch, mask)``: per-node ``(start,
-    stop)`` extents into the shared row buffer, the channel count and
-    the round's feature mask (``None`` = all features active).  The
-    worker writes node ``i``'s block slice into ``out[i, :nch, f0:f1]``
-    and acknowledges; output slices of distinct workers are disjoint,
-    so no synchronisation beyond the ack is needed.
-    """
-    inject("shm.attach", worker_index)
-    segments = []
-    arrays = {}
-    for name, (shm_name, shape, dtype) in specs.items():
-        segment = shared_memory.SharedMemory(name=shm_name)
-        segments.append(segment)  # keep mapped for the worker's lifetime
-        arrays[name] = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
-    binned = arrays["binned"].T  # (n, d), F-contiguous view
-    gh = arrays["gh"]
-    rows_buf = arrays["rows"]
-    out = arrays["out"]
-    f0, f1 = block
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):  # parent went away
-            break
-        if message is None:
-            break
-        bounds, nch, mask = message
-        try:
-            inject("hist.task", worker_index)
-            for slot, (start, stop) in enumerate(bounds):
-                _accumulate_block(
-                    binned,
-                    gh[0],
-                    gh[1],
-                    rows_buf[start:stop],
-                    out[slot, :nch],
-                    f0,
-                    f1,
-                    mask,
-                    flat_rows_max,
-                )
-        except BaseException as exc:  # ship the failure, keep serving
-            try:
-                conn.send(("error", exc))
-            except Exception:  # unpicklable exception: die loudly
-                raise exc from None
-        else:
-            conn.send(("ok", None))
-            inject("hist.task.done", worker_index)
-    conn.close()
+def _accumulate_wave(task: tuple, state: dict) -> None:
+    """One block's share of a wave: every node's slice of ``out``."""
+    f0, f1, bounds, nch, mask, flat_rows_max = task
+    gh, rows, out = state["gh"], state["rows"], state["out"]
+    for slot, (start, stop) in enumerate(bounds):
+        _accumulate_block(
+            state["binned"],
+            gh[0],
+            gh[1],
+            rows[start:stop],
+            out[slot, :nch],
+            f0,
+            f1,
+            mask,
+            flat_rows_max,
+        )
 
 
-class HistogramPool:
+def _map_wave_buffers(arrays: dict, buffers: dict) -> dict:
+    """Worker setup: the binned matrix plus writable wave buffers."""
+    state = attach_shared(buffers, writable=True)
+    state["binned"] = arrays["binned"].T  # (n, d), F-contiguous view
+    return state
+
+
+class HistogramPool(ShardedPool):
     """Persistent feature-block workers for one fit's histogram waves.
 
     Parameters
@@ -215,11 +187,7 @@ class HistogramPool:
     n_jobs:
         Worker count (:func:`~repro.parallel.executor.resolve_jobs`
         convention: argument over ``REPRO_JOBS`` over serial; capped at
-        ``n_features``).
-    backend:
-        ``"auto"`` (fork processes when safe, else threads),
-        ``"process"``, ``"thread"`` or ``"serial"`` — the explicit
-        values exist for tests.
+        ``n_features``; serial when the parent cannot fork).
 
     Lifecycle: construct once per fit, call :meth:`begin_round` once
     per boosting round, :meth:`accumulate` once per node wave, and
@@ -227,9 +195,7 @@ class HistogramPool:
     every shared segment (idempotent; also runs on ``with`` exit).
     """
 
-    #: Per-slot respawn budget and base backoff (doubles per attempt).
-    _RESPAWN_LIMIT = 3
-    _RESPAWN_BACKOFF = 0.05
+    _SITE = "hist"
 
     def __init__(
         self,
@@ -237,7 +203,6 @@ class HistogramPool:
         missing_bin: int,
         *,
         n_jobs: int | None = None,
-        backend: str = "auto",
         flat_rows_max: int = _FLAT_ROWS_MAX,
         out_slots: int | None = None,
         task_deadline: float | None = None,
@@ -246,181 +211,73 @@ class HistogramPool:
     ):
         if binned.dtype != np.uint8:
             raise TypeError("binned matrix must be uint8")
-        if backend not in ("auto", "process", "thread", "serial"):
-            raise ValueError(f"unknown backend {backend!r}")
         self.binned = (
             binned if binned.flags.f_contiguous else np.asfortranarray(binned)
         )
         self.stride = missing_bin + 1
         self.flat_rows_max = flat_rows_max
         n, d = self.binned.shape
-        self._n = n
-        self._d = d
-        self.jobs = max(1, min(resolve_jobs(n_jobs), d))
-        self._blocks = _feature_blocks(d, self.jobs)
         if out_slots is None:
             cell_bytes = _MAX_CHANNELS * d * self.stride * 8
             out_slots = max(1, _OUT_CAP_BYTES // max(cell_bytes, 1))
         self._slots = max(1, int(out_slots))
         # Per-round state (set by begin_round).
-        self._nch = _MAX_CHANNELS
+        self._nch: int | None = None
         self._mask: np.ndarray | None = None
-        self._grad: np.ndarray | None = None
-        self._hess: np.ndarray | None = None
-        # Backend state.
-        self.mode = "serial"
-        self._closed = False
-        self._dead: set[int] = set()
-        self._procs: list = []
-        self._conns: list = []
-        self._segments: list[shared_memory.SharedMemory] = []
-        self._specs: dict[str, tuple[str, tuple[int, ...], str]] = {}
-        self._executor: ThreadPoolExecutor | None = None
-        self._out_local: np.ndarray | None = None
-        self._context = None
-        # Supervisor state (process backend only).
-        self.task_deadline = resolve_deadline(task_deadline)
-        self.max_respawns = (
-            self._RESPAWN_LIMIT if max_respawns is None else max_respawns
-        )
-        self.close_timeout = close_timeout
-        self.workers_respawned = 0
-        self.deadline_kills = 0
-        self._respawn_attempts: dict[int, int] = {}
-        self._retry_after: dict[int, float] = {}
-        if self.jobs <= 1 or n == 0 or backend == "serial":
-            return
-        if backend == "auto":
-            backend = "process" if _start_method() == "fork" else "thread"
-        if backend == "process":
-            if not self._start_processes():
-                backend = "thread"  # no usable shared memory / no fork
-        if backend == "thread":
-            self._executor = ThreadPoolExecutor(max_workers=self.jobs)
-            self._out_local = np.empty(
-                (self._slots, _MAX_CHANNELS, d, self.stride), dtype=np.float64
-            )
-            self.mode = "thread"
-
-    # ------------------------------------------------------------------
-    @property
-    def workers_alive(self) -> int:
-        """Workers still accumulating remotely (1 for thread/serial)."""
-        if self._closed:
-            return 0
-        if self.mode != "process":
-            return 1
-        return self.jobs - len(self._dead)
-
-    def __enter__(self) -> "HistogramPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def _create(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """One named shared segment + the parent's writable view of it."""
-        nbytes = max(1, int(np.prod(shape)) * np.dtype(dtype).itemsize)
-        # repro: allow[REP003] -- pool-owned segments: close() unlinks them all, and every consumer wraps the pool in try/finally (gbm.fit) or a with block
-        segment = shared_memory.SharedMemory(create=True, size=nbytes)
-        self._segments.append(segment)
-        self._specs[name] = (segment.name, shape, str(np.dtype(dtype)))
-        return np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
-
-    def _start_processes(self) -> bool:
-        """Export the segments and fork the block workers."""
-        if _start_method() != "fork":
-            return False
-        n, d = self._n, self._d
-        try:
-            self._gh = self._create("gh", (2, n), np.float64)
-            self._rows_buf = self._create("rows", (n,), np.int64)
-            self._out = self._create(
-                "out", (self._slots, _MAX_CHANNELS, d, self.stride), np.float64
-            )
-            shared_binned = self._create("binned", (d, n), np.uint8)
-        except OSError:
-            self._release_segments()
-            return False
-        shared_binned[:] = self.binned.T  # F-order payload, copied once
-        self._context = get_context("fork")
-        try:
-            for w in range(len(self._blocks)):
-                self._spawn_worker(w)
-        except OSError:
-            self.close()
-            self._closed = False
-            self._procs = []
-            self._conns = []
-            return False
-        self.mode = "process"
-        return True
-
-    def _spawn_worker(self, w: int) -> None:
-        """(Re)start the worker owning feature block ``w``."""
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        proc = self._context.Process(
-            target=_hist_worker_loop,
-            args=(
-                child_conn,
-                self._specs,
-                self._blocks[w],
-                self.flat_rows_max,
-                w,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        if w < len(self._procs):
-            old = self._procs[w]
-            if old is not None:
-                old.join(timeout=0.2)  # reap the crashed predecessor
-            self._procs[w] = proc
-            self._conns[w] = parent_conn
-        else:
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
-
-    def _heal(self) -> None:
-        """Respawn dead block workers, budgeted and backed off.
-
-        A respawned worker re-maps the same segments and receives the
-        same fixed feature block, so cell ownership — the second leg of
-        the bitwise-safety argument — is restored, not renegotiated.
-        The shared ``gh`` buffer always holds the current round's
-        gradients, so a worker may rejoin mid-round safely.
-        """
-        if (
-            not self._dead
-            or self.mode != "process"
-            or self.max_respawns <= 0
-            or self._context is None
-        ):
-            return
-        now = time.perf_counter()
-        for w in sorted(self._dead):
-            attempts = self._respawn_attempts.get(w, 0)
-            if attempts >= self.max_respawns:
-                continue
-            if now < self._retry_after.get(w, 0.0):
-                continue
-            self._respawn_attempts[w] = attempts + 1
-            self._retry_after[w] = now + self._RESPAWN_BACKOFF * (2.0**attempts)
+        jobs = max(1, min(resolve_jobs(n_jobs), d))
+        if n == 0 or _start_method() != "fork":
+            jobs = 1
+        shapes = {
+            "gh": ((2, n), np.float64),
+            "rows": ((n,), np.int64),
+            "out": ((self._slots, _MAX_CHANNELS, d, self.stride), np.float64),
+        }
+        # The wave buffers are segments this pool creates itself, never
+        # ``shared`` entries: export_shared inlines small arrays into the
+        # spec, and a worker's copy would never see the per-round writes.
+        segments: list[shared_memory.SharedMemory] = []
+        buffers: dict[str, _ArraySpec] = {}
+        self._arrays: dict[str, np.ndarray] = {"binned": self.binned}
+        if jobs > 1:
             try:
-                self._spawn_worker(w)
-            except OSError:  # pragma: no cover - spawn pressure
-                continue
-            self._dead.discard(w)
-            self.workers_respawned += 1
+                for name, (shape, dtype) in shapes.items():
+                    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+                    # repro: allow[REP003] -- pool-owned segments: close() unlinks them all, and every consumer wraps the pool in try/finally (gbm.fit) or a with block
+                    segment = shared_memory.SharedMemory(
+                        create=True, size=max(1, nbytes)
+                    )
+                    segments.append(segment)
+                    buffers[name] = _ArraySpec(
+                        segment.name, shape, np.dtype(dtype).name
+                    )
+                    self._arrays[name] = np.ndarray(
+                        shape, dtype=dtype, buffer=segment.buf
+                    )
+            except OSError:  # no usable shared memory: accumulate in-process
+                release_shared(segments)
+                segments, buffers, jobs = [], {}, 1
+        if jobs <= 1:
+            for name, (shape, dtype) in shapes.items():
+                self._arrays[name] = np.empty(shape, dtype=dtype)
+        try:
+            super().__init__(
+                n_jobs=jobs,
+                shared={"binned": self.binned.T},
+                setup=_map_wave_buffers,
+                setup_args=(buffers,),
+                task_deadline=task_deadline,
+                max_respawns=max_respawns,
+                close_timeout=close_timeout,
+            )
+        except BaseException:
+            release_shared(segments)
+            raise
+        self._segments.extend(segments)  # close() unlinks them too
+        self._blocks = _feature_blocks(d, self.workers)
 
-    def _kill_worker(self, w: int) -> None:
-        """SIGKILL block worker ``w`` (deadline reaper / fault site)."""
-        proc = self._procs[w]
-        if proc is not None and proc.is_alive():
-            proc.kill()
-            proc.join(timeout=self.close_timeout)
+    def _state(self) -> dict:
+        """In-process accumulation reads and writes the parent's buffers."""
+        return self._arrays
 
     # ------------------------------------------------------------------
     def begin_round(
@@ -445,11 +302,8 @@ class HistogramPool:
             if bool(feature_mask.all())
             else np.ascontiguousarray(feature_mask, dtype=bool)
         )
-        self._grad = grad
-        self._hess = hess
-        if self.mode == "process":
-            self._gh[0] = grad
-            self._gh[1] = hess
+        self._arrays["gh"][0] = grad
+        self._arrays["gh"][1] = hess
 
     def accumulate(self, rows_list: list[np.ndarray]) -> list[np.ndarray]:
         """Histograms for one wave of nodes, in input order.
@@ -461,183 +315,22 @@ class HistogramPool:
         """
         if self._closed:
             raise RuntimeError("pool is closed")
-        if self._grad is None:
+        if self._nch is None:
             raise RuntimeError("begin_round() must be called before accumulate()")
-        self._heal()
+        rows_buf, out = self._arrays["rows"], self._arrays["out"]
         hists: list[np.ndarray] = []
-        for start in range(0, len(rows_list), self._slots):
-            hists.extend(self._wave(rows_list[start : start + self._slots]))
-        return hists
-
-    def _wave(self, chunk: list[np.ndarray]) -> list[np.ndarray]:
-        nch = self._nch
-        if self.mode == "serial" or (
-            self.mode == "process" and len(self._dead) == len(self._procs)
-        ):
-            return [self._full_hist(rows) for rows in chunk]
-        if self.mode == "thread":
-            out = self._out_local
-            futures = [
-                self._executor.submit(self._local_block, chunk, out, f0, f1)
-                for f0, f1 in self._blocks
-            ]
-            for future in futures:
-                future.result()
-            return [np.array(out[i, :nch]) for i in range(len(chunk))]
-        # Process backend: stage the wave's rows, fan out one message
-        # per worker, recompute dead workers' blocks in-process while
-        # the alive ones crunch.
-        bounds: list[tuple[int, int]] = []
-        offset = 0
-        for rows in chunk:
-            stop = offset + rows.size
-            self._rows_buf[offset:stop] = rows
-            bounds.append((offset, stop))
-            offset = stop
-        message = (bounds, nch, self._mask)
-        pending: list[int] = []
-        sent_at: dict[int, float] = {}
-        fallback_blocks: list[tuple[int, int]] = []
-        for w, block in enumerate(self._blocks):
-            if w in self._dead:
-                fallback_blocks.append(block)
-                continue
-            if should_kill("hist.send", w):
-                self._kill_worker(w)  # fault plan: crash before the wave
-            try:
-                self._conns[w].send(message)
-            except (BrokenPipeError, OSError):
-                self._mark_dead(w)
-                fallback_blocks.append(block)
-                continue
-            pending.append(w)
-            sent_at[w] = time.perf_counter()
-        for f0, f1 in fallback_blocks:
-            self._local_block(chunk, self._out, f0, f1)
-        while pending:
-            by_conn = {self._conns[w]: w for w in pending}
-            timeout = None
-            if self.task_deadline is not None:
-                expiry = min(sent_at[w] for w in pending) + self.task_deadline
-                timeout = max(0.0, expiry - time.perf_counter())
-            ready = mp_connection.wait(list(by_conn), timeout)
-            if not ready:
-                # Deadline pass: a worker is stuck, not dead — kill it,
-                # recompute its block in-process, respawn next wave.
-                now = time.perf_counter()
-                for w in list(pending):
-                    if now - sent_at[w] < self.task_deadline:
-                        continue
-                    pending.remove(w)
-                    self.deadline_kills += 1
-                    self._kill_worker(w)
-                    self._mark_dead(w)
-                    f0, f1 = self._blocks[w]
-                    self._local_block(chunk, self._out, f0, f1)
-                continue
-            for conn in ready:
-                w = by_conn[conn]
-                pending.remove(w)
-                f0, f1 = self._blocks[w]
-                try:
-                    status, _ = conn.recv()
-                except (EOFError, OSError):
-                    # Worker died mid-wave: its feature block is
-                    # recomputed in-process this wave; the supervisor
-                    # respawns the slot before the next accumulate.
-                    self._mark_dead(w)
-                    self._local_block(chunk, self._out, f0, f1)
-                    continue
-                if status != "ok":
-                    # The wave failed remotely (e.g. a transient
-                    # resource error); the worker survives, this wave's
-                    # block is recomputed in-process.
-                    self._local_block(chunk, self._out, f0, f1)
-        return [np.array(self._out[i, :nch]) for i in range(len(chunk))]
-
-    def _local_block(
-        self,
-        chunk: list[np.ndarray],
-        out: np.ndarray,
-        f0: int,
-        f1: int,
-    ) -> None:
-        """Accumulate one feature block for every wave node in-process."""
-        for slot, rows in enumerate(chunk):
-            _accumulate_block(
-                self.binned,
-                self._grad,
-                self._hess,
-                rows,
-                out[slot, : self._nch],
-                f0,
-                f1,
-                self._mask,
-                self.flat_rows_max,
+        for first in range(0, len(rows_list), self._slots):
+            chunk = rows_list[first : first + self._slots]
+            bounds: list[tuple[int, int]] = []
+            offset = 0
+            for rows in chunk:
+                rows_buf[offset : offset + rows.size] = rows
+                bounds.append((offset, offset + rows.size))
+                offset += rows.size
+            wave = (bounds, self._nch, self._mask, self.flat_rows_max)
+            self.scatter(
+                _accumulate_wave,
+                [(w, (f0, f1, *wave)) for w, (f0, f1) in enumerate(self._blocks)],
             )
-
-    def _full_hist(self, rows: np.ndarray) -> np.ndarray:
-        """Full-width in-process accumulation (serial degrade path)."""
-        hist = np.empty((self._nch, self._d, self.stride), dtype=np.float64)
-        _accumulate_block(
-            self.binned,
-            self._grad,
-            self._hess,
-            rows,
-            hist,
-            0,
-            self._d,
-            self._mask,
-            self.flat_rows_max,
-        )
-        return hist
-
-    def _mark_dead(self, w: int) -> None:
-        self._dead.add(w)
-        try:
-            self._conns[w].close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-    def _release_segments(self) -> None:
-        for segment in self._segments:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments = []
-        self._specs = {}
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Stop the workers and unlink every shared segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        for w, conn in enumerate(self._conns):
-            if w in self._dead:
-                continue
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=self.close_timeout)
-            if proc.is_alive():
-                # Stuck worker (hung wave, ignored shutdown): reap it
-                # hard so the segment unlink below cannot be held up.
-                proc.terminate()
-                proc.join(timeout=self.close_timeout)
-        for w, conn in enumerate(self._conns):
-            if w not in self._dead:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-        self._procs = []
-        self._conns = []
-        self._release_segments()
+            hists.extend(np.array(out[i, : self._nch]) for i in range(len(chunk)))
+        return hists

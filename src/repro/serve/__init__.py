@@ -27,10 +27,10 @@ fitted model assisting many clinical visits, scaled to heavy traffic:
     :mod:`repro.serve.router`): the plane packs a version's quantized
     representation — tree node arrays, bin thresholds, fitted bin
     edges, preprocessed TreeSHAP path structures — into shared memory
-    once, N workers map it, and the router coalesces heterogeneous
-    requests across callers into size/deadline-bounded micro-batches
-    sharded by bin-code hash.  Output is bitwise-identical to the
-    single-process service for every worker count.
+    once, N workers map it, and the router shards each micro-batch of
+    heterogeneous requests by bin-code hash.  Output is
+    bitwise-identical to the single-process service for every worker
+    count.
 ``ScoringServer``
     The network edge (:mod:`repro.serve.server`): an asyncio HTTP/1.1
     front end with a background flush timer over the router, admission

@@ -434,7 +434,6 @@ def _score(args: argparse.Namespace) -> int:
         args.tag,
         feature_names=list(features),
         n_jobs=args.jobs,
-        max_batch=args.batch_size,
         cache_size=args.cache_size,
         top_k=args.top_k,
     )

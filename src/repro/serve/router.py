@@ -1,12 +1,13 @@
-"""Multi-worker request router: coalesce, shard, score, reassemble.
+"""Multi-worker request router: shard, score, reassemble.
 
 :class:`ScoringRouter` is the front end of the multi-worker scoring
-plane.  It accepts heterogeneous predict/explain requests from any
-number of callers, coalesces them into micro-batches bounded by *size*
-(``max_batch``) and *deadline* (``max_delay`` seconds a request may wait
-for co-travellers), and fans every micro-batch over a pool of scoring
-workers that each map the shared-memory :class:`~repro.serve.plane
-.ModelPlane` once (:class:`~repro.parallel.executor.ShardedPool`).
+plane.  It takes pre-coalesced micro-batches of heterogeneous
+predict/explain requests (:meth:`ScoringRouter.score_batch`; batch
+formation belongs to the caller — the HTTP server's flush timer, the
+``repro serve score`` chunk loop) and fans every micro-batch over a pool
+of scoring workers that each map the shared-memory
+:class:`~repro.serve.plane.ModelPlane` once
+(:class:`~repro.parallel.executor.ShardedPool`).
 
 Sharding and the cache contract
 -------------------------------
@@ -36,7 +37,7 @@ import os
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,13 +124,6 @@ class ScoringRouter:
     n_jobs:
         Scoring workers: argument over ``REPRO_JOBS`` over serial.
         Results are bitwise-identical for every value.
-    max_batch:
-        Micro-batch size bound: a flush happens at the latest when this
-        many requests are pending.
-    max_delay:
-        Deadline bound in seconds: on the next :meth:`submit` or
-        :meth:`poll` after the oldest pending request has waited this
-        long, the batch flushes regardless of size.
     cache_size:
         Per-shard LRU capacity in rows (each worker owns one shard).
     top_k:
@@ -139,8 +133,6 @@ class ScoringRouter:
         ``REPRO_TASK_DEADLINE`` convention).  A worker stuck past it is
         killed mid-batch, its slice recomputed in-process, and the slot
         respawned — answers stay bitwise identical either way.
-    clock:
-        Injectable monotonic clock (tests drive the deadline logic).
     """
 
     def __init__(
@@ -150,17 +142,10 @@ class ScoringRouter:
         version: str | None = None,
         feature_names: Sequence[str] | None = None,
         n_jobs: int | None = None,
-        max_batch: int = 64,
-        max_delay: float = 0.005,
         cache_size: int = 4096,
         top_k: int = 5,
         task_deadline: float | None = None,
-        clock: Callable[[], float] = time.perf_counter,
     ):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         plane = ModelPlane.pack(model, version=version)
         self.version = plane.version
         self.n_features = int(model.n_features_)
@@ -172,10 +157,7 @@ class ScoringRouter:
                 f"fitted on {self.n_features} features"
             )
         self.feature_names = list(feature_names)
-        self.max_batch = max_batch
-        self.max_delay = max_delay
         self._model = model  # parent-side binning for shard routing
-        self._clock = clock
         self._pool = ShardedPool(
             n_jobs=n_jobs,
             shared=plane.arrays,
@@ -188,9 +170,6 @@ class ScoringRouter:
             ),
             task_deadline=task_deadline,
         )
-        self._pending: list[ScoreRequest] = []
-        self._pending_since: float | None = None
-        self._completed: list[ScoreResult] = []
         self._stats = RouterStats()
         self._shard_caches: dict[int, CacheStats] = {}
         self._closed = False
@@ -228,100 +207,15 @@ class ScoringRouter:
         return self._pool.deadline_kills
 
     # ------------------------------------------------------------------
-    # Cross-request coalescing.
-
-    def submit(self, request: ScoreRequest) -> None:
-        """Queue one request; flushes on the size or deadline bound.
-
-        Results of flushed batches accumulate in submission order and
-        are collected with :meth:`poll` or :meth:`drain`.  Callers that
-        drive flushing themselves (the HTTP server's background flush
-        timer) construct the router with a large ``max_delay`` and call
-        :meth:`flush` on their own schedule — then a submit only
-        flushes on the size bound.
-        """
-        if self._pending and self._deadline_passed():
-            self.flush()
-        if not self._pending:
-            self._pending_since = self._clock()
-        self._pending.append(request)
-        if len(self._pending) >= self.max_batch:
-            self.flush()
-
-    def poll(self) -> list[ScoreResult]:
-        """Collect finished results; flushes first if the deadline passed."""
-        if self._pending and self._deadline_passed():
-            self.flush()
-        done = self._completed
-        self._completed = []
-        return done
-
-    def drain(self) -> list[ScoreResult]:
-        """Flush everything pending and collect all finished results."""
-        self.flush()
-        done = self._completed
-        self._completed = []
-        return done
-
-    def flush(self) -> None:
-        """Execute whatever is pending as one micro-batch, now.
-
-        The external half of the flush API: a background timer (rather
-        than the submit/poll deadline check) can drive batch formation
-        by watching :attr:`pending` / :meth:`oldest_wait` and calling
-        this when the deadline it owns expires.  Results accumulate for
-        :meth:`poll` / :meth:`drain` as usual; flushing with nothing
-        pending is a no-op.
-        """
-        batch, self._pending, self._pending_since = self._pending, [], None
-        if batch:
-            self._completed.extend(self._execute(batch))
-
-    @property
-    def pending(self) -> int:
-        """Requests queued but not yet flushed into a micro-batch."""
-        return len(self._pending)
-
-    def oldest_wait(self) -> float | None:
-        """Seconds the oldest pending request has waited (None if none)."""
-        if self._pending_since is None:
-            return None
-        return self._clock() - self._pending_since
-
     def score_batch(self, requests: Sequence[ScoreRequest]) -> list[ScoreResult]:
-        """Score one pre-coalesced micro-batch (drop-in for the service).
-
-        Anything already pending is flushed first so the submission
-        order of results is preserved.
-        """
-        self.flush()
-        return self._execute(list(requests))
-
-    def score_rows(self, X: np.ndarray, explain: bool = False) -> list[ScoreResult]:
-        """Convenience wrapper: stream a matrix through the router."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"expected 2-D input, got shape {X.shape}")
-        for i in range(X.shape[0]):
-            self.submit(ScoreRequest(row=X[i], explain=explain))
-        return self.drain()
-
-    def _deadline_passed(self) -> bool:
-        return (
-            self._pending_since is not None
-            and self._clock() - self._pending_since >= self.max_delay
-        )
-
-    # ------------------------------------------------------------------
-    # Micro-batch execution.
-
-    def _execute(self, batch: list[ScoreRequest]) -> list[ScoreResult]:
+        """Score one pre-coalesced micro-batch (drop-in for the service)."""
         if self._closed:
             raise RuntimeError("router is closed")
+        batch = list(requests)
         if not batch:
             return []
         t0 = time.perf_counter()
-        rows = self._stack_rows(batch)
+        rows = stack_request_rows(batch, self.n_features)
         explain = tuple(bool(req.explain) for req in batch)
         if self._pool.workers <= 1:
             groups = [(0, np.arange(len(batch)))]
@@ -369,8 +263,12 @@ class ScoringRouter:
         self._stats.total_seconds += time.perf_counter() - t0
         return results
 
-    def _stack_rows(self, requests: Sequence[ScoreRequest]) -> np.ndarray:
-        return stack_request_rows(requests, self.n_features)
+    def score_rows(self, X: np.ndarray, explain: bool = False) -> list[ScoreResult]:
+        """Convenience wrapper: score a matrix as one micro-batch."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError(f"expected 2-D input, got shape {X.shape}")
+        return self.score_batch([ScoreRequest(row=row, explain=explain) for row in X])
 
     # ------------------------------------------------------------------
     @property
@@ -391,16 +289,13 @@ class ScoringRouter:
         )
 
     def close(self) -> None:
-        """Flush in-flight batches, then tear the pool down (idempotent).
+        """Tear the pool down and unlink the plane (idempotent).
 
-        The shutdown contract: anything submitted before ``close`` is
-        **executed** before the workers and the shared plane go away —
-        a SIGTERM-style shutdown drops zero requests.  The flushed
-        results stay collectable through :meth:`poll` / :meth:`drain`
-        after the close; only *new* work is rejected.
+        :meth:`score_batch` is synchronous, so no request is in flight
+        here; the HTTP server's zero-drop shutdown drains its own queue
+        before closing the router.  Only new work is rejected.
         """
         if not self._closed:
-            self.flush()
             self._closed = True
             self._pool.close()
 

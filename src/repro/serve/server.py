@@ -3,9 +3,9 @@
 :class:`ScoringServer` puts a network edge on the serving stack built in
 PRs 3/5/7: a hand-rolled HTTP/1.1 server (asyncio streams, keep-alive)
 that accepts ``POST /predict`` / ``POST /explain`` JSON requests,
-coalesces them into micro-batches on a **background flush timer**
-(replacing the router's flush-on-submit discipline), and executes each
-batch on the existing :class:`~repro.serve.router.ScoringRouter` /
+coalesces them into micro-batches on a **background flush timer** (the
+only batch former in the serving stack), and executes each batch with
+one :meth:`~repro.serve.router.ScoringRouter.score_batch` call on the
 :class:`~repro.parallel.executor.ShardedPool` plane.
 
 Determinism contract
@@ -62,6 +62,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.parallel.executor import resolve_deadline
 from repro.serve.admission import AdmissionController
 from repro.serve.registry import ModelRegistry
 from repro.serve.router import ScoringRouter
@@ -293,7 +294,9 @@ class ScoringServer:
         self.poll_interval = poll_interval
         self._cache_size = cache_size
         self._top_k = top_k
-        self._task_deadline = task_deadline
+        # Resolved (and validated) now, so a bad value or
+        # REPRO_TASK_DEADLINE fails the construction, not the first build.
+        self._task_deadline = resolve_deadline(task_deadline)
         self._clock = clock
         self._admission = AdmissionController(max_queue)
         self._latency = LatencyWindow(latency_window)
@@ -416,7 +419,6 @@ class ScoringServer:
             self._name,
             tag,
             n_jobs=self._jobs,
-            max_batch=self.max_batch,
             cache_size=self._cache_size,
             top_k=self._top_k,
             task_deadline=self._task_deadline,

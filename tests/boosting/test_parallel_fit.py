@@ -1,11 +1,12 @@
 """Intra-fit histogram parallelism is invisible in the results.
 
 The contract under test (see ``docs/determinism.md``): a fit with
-``n_jobs`` ∈ {2, 4} — process or thread backend — produces **bitwise
-identical** trees, eval history and predictions to the serial path,
-across unit/varying hessians, row/column subsampling and missing
-values; and a worker dying mid-fit degrades to in-process recompute of
-its feature block without changing a bit either.
+``n_jobs`` ∈ {2, 4} produces **bitwise identical** trees, eval history
+and predictions to the serial path, across unit/varying hessians,
+row/column subsampling, missing values and matrices small enough that
+every array would be inlined rather than shared; and a worker dying
+mid-fit degrades to in-process recompute of its feature block without
+changing a bit either.
 """
 
 from __future__ import annotations
@@ -49,8 +50,11 @@ def assert_models_identical(a, b):
 
 
 class TestBitwiseEquivalence:
-    """jobs ∈ {1, 2, 4} × hessian kind × subsampling: one fit result."""
+    """jobs ∈ {1, 2, 4} × hessian kind × subsampling × size: one result."""
 
+    # n=40 keeps every wave buffer under the shared-memory inline
+    # threshold: the per-round writes must still reach the workers.
+    @pytest.mark.parametrize("n", [500, 40])
     @pytest.mark.parametrize("jobs", [2, 4])
     @pytest.mark.parametrize(
         "kind,subsample,colsample",
@@ -61,8 +65,8 @@ class TestBitwiseEquivalence:
             ("classifier", 0.7, 0.7),  # varying hessians, both subsamplings
         ],
     )
-    def test_fit_matches_serial(self, jobs, kind, subsample, colsample):
-        X, y = make_data(3)
+    def test_fit_matches_serial(self, n, jobs, kind, subsample, colsample):
+        X, y = make_data(3, n=n)
         if kind == "classifier":
             y = (y > np.median(y)).astype(np.int64)
         X_val, y_val = X[:120], y[:120]
@@ -91,8 +95,8 @@ class TestBitwiseEquivalence:
         par = GBRegressor(n_estimators=10, max_depth=4).fit(X, y)
         assert_models_identical(serial, par)
 
-    def test_thread_backend_matches_process(self):
-        """Both backends assemble the same bits as the serial grower."""
+    def test_process_pool_matches_serial(self):
+        """Block workers assemble the same bits as in-process accumulation."""
         X, y = make_data(7, n=1400)
         mapper = BinMapper(max_bins=32).fit(X)
         binned = mapper.transform(X, order="F")
@@ -105,20 +109,17 @@ class TestBitwiseEquivalence:
         rows_small = np.arange(1, 300, 2)  # flat path
 
         results = {}
-        for backend in ("serial", "thread", "process"):
-            pool = HistogramPool(
-                binned, mapper.missing_bin, n_jobs=3, backend=backend
-            )
+        for jobs in (1, 3):
+            pool = HistogramPool(binned, mapper.missing_bin, n_jobs=jobs)
             try:
                 pool.begin_round(grad, hess, mask, n_channels=3)
-                results[backend] = pool.accumulate([rows_big, rows_small])
+                results[jobs] = pool.accumulate([rows_big, rows_small])
             finally:
                 pool.close()
-        for backend in ("thread", "process"):
-            for ref, got in zip(results["serial"], results[backend]):
-                # Masked-out features are never read by the split scan;
-                # compare the cells that are.
-                assert np.array_equal(ref[:, mask], got[:, mask]), backend
+        for ref, got in zip(results[1], results[3]):
+            # Masked-out features are never read by the split scan;
+            # compare the cells that are.
+            assert np.array_equal(ref[:, mask], got[:, mask])
 
 
 class TestDegradation:
@@ -136,7 +137,7 @@ class TestDegradation:
 
         pool = HistogramPool(binned, mapper.missing_bin, n_jobs=2)
         try:
-            if pool.mode != "process":
+            if pool.workers <= 1:
                 pytest.skip("fork process backend unavailable")
             pool.begin_round(grad, hess, mask, n_channels=2)
             before = pool.accumulate([rows])[0]
@@ -168,7 +169,7 @@ class TestDegradation:
         rows = np.arange(X.shape[0])
         pool = HistogramPool(binned, mapper.missing_bin, n_jobs=2)
         try:
-            if pool.mode != "process":
+            if pool.workers <= 1:
                 pytest.skip("fork process backend unavailable")
             pool.begin_round(grad, hess, mask, n_channels=2)
             reference = pool.accumulate([rows])[0]
@@ -210,9 +211,7 @@ class TestPoolMechanics:
             rows_list = [np.arange(i, X.shape[0], 5) for i in range(5)]
             got = pool.accumulate(rows_list)
             assert len(got) == 5
-            ref_pool = HistogramPool(
-                binned, mapper.missing_bin, n_jobs=1, backend="serial"
-            )
+            ref_pool = HistogramPool(binned, mapper.missing_bin, n_jobs=1)
             try:
                 ref_pool.begin_round(grad, hess, mask, n_channels=2)
                 for ref, hist in zip(ref_pool.accumulate(rows_list), got):

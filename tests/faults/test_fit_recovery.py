@@ -61,7 +61,7 @@ def _pool_fixture(jobs: int = 2):
     hess = np.ones(X.shape[0])
     mask = np.ones(X.shape[1], dtype=bool)
     pool = HistogramPool(binned, mapper.missing_bin, n_jobs=jobs)
-    if pool.mode != "process":
+    if pool.workers <= 1:
         pool.close()
         pytest.skip("fork process backend unavailable")
     pool.begin_round(grad, hess, mask, n_channels=2)

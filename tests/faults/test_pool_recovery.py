@@ -119,6 +119,18 @@ class TestDeadline:
         monkeypatch.setenv("REPRO_TASK_DEADLINE", "soon")
         with pytest.raises(ValueError, match="REPRO_TASK_DEADLINE"):
             resolve_deadline()
+        # Non-finite values would overflow the pipe poll (inf) or
+        # silently disable the deadline (nan): rejected, source named.
+        for value in (float("inf"), 1e400, float("nan")):
+            with pytest.raises(ValueError, match="task_deadline"):
+                resolve_deadline(value)
+        for raw in ("inf", "1e400", "nan"):
+            monkeypatch.setenv("REPRO_TASK_DEADLINE", raw)
+            with pytest.raises(ValueError, match="REPRO_TASK_DEADLINE"):
+                resolve_deadline()
+        monkeypatch.delenv("REPRO_TASK_DEADLINE")
+        with pytest.raises(ValueError, match="task_deadline"):
+            ShardedPool(n_jobs=2, task_deadline=float("inf"))
 
     def test_stuck_worker_reaped_and_recomputed(self, monkeypatch):
         # Worker-side rules ride the environment so they reach workers

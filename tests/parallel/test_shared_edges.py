@@ -7,6 +7,7 @@ unlinked, including when a worker dies mid-task.
 """
 
 import os
+import time
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -161,7 +162,7 @@ class TestWorkerDeathCleanup:
             n_jobs=2,
             shared={"X": X},
         )
-        # BrokenProcessPool fell back to the serial path: same results.
+        # The killed worker's unit was recomputed in-process: same results.
         assert out == [
             ("survived", "die"),
             ("survived", "x"),
@@ -188,6 +189,22 @@ class TestShardedPoolContract:
             if not faults_active():  # chaos recompute relaxes placement
                 assert all(len(pids) == 1 for pids in by_worker.values())
 
+    def test_unsharded_tasks_go_to_the_idle_worker(self, monkeypatch):
+        # Placement is what this test asserts: no ambient kill schedule.
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        with ShardedPool(n_jobs=2, shared={}) as pool:
+            if pool.workers != 2:
+                pytest.skip("process backend unavailable")
+            tasks = [(None, (0, 1.0))] + [(None, (i, 0.0)) for i in range(1, 7)]
+            out = pool.scatter(_sleep_then_pid, tasks)
+        assert [i for i, _ in out] == list(range(7))  # submission order
+        slow_pid = out[0][1]
+        fast_pids = {pid for _, pid in out[1:]}
+        # The slow task holds one worker; every fast task ran on the other.
+        assert len(fast_pids) == 1
+        assert slow_pid not in fast_pids
+        assert os.getpid() not in fast_pids | {slow_pid}
+
     def test_task_error_propagates(self):
         with ShardedPool(n_jobs=2, shared={}) as pool:
             with pytest.raises(ValueError, match="boom 1"):
@@ -205,6 +222,12 @@ class TestShardedPoolContract:
         pool.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             pool.scatter(_probe_state, [(0, None)])
+
+
+def _sleep_then_pid(item, state):
+    index, seconds = item
+    time.sleep(seconds)
+    return index, os.getpid()
 
 
 def _raise_on(item, state):

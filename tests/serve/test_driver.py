@@ -430,3 +430,22 @@ class TestStart:
         )
         assert rc == 2
         assert "no model named" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_start_non_finite_deadline_is_clean_error(
+        self, tmp_path, capsys, value
+    ):
+        (tmp_path / "registry").mkdir()
+        rc = serve_main(
+            [
+                "start",
+                "--registry",
+                str(tmp_path / "registry"),
+                "--name",
+                "nope",
+                "--task-deadline",
+                value,
+            ]
+        )
+        assert rc == 2
+        assert "task_deadline must be finite" in capsys.readouterr().err

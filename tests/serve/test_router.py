@@ -151,65 +151,9 @@ class TestEquivalence:
         model, X = regressor
         service = ScoringService(model, version="v")
         reference = service.score_rows(X[:50], explain=True)
-        with ScoringRouter(
-            model, version="v", n_jobs=2, max_batch=16
-        ) as router:
+        with ScoringRouter(model, version="v", n_jobs=2) as router:
             got = router.score_rows(X[:50], explain=True)
         _assert_results_equal(got, reference)
-
-
-class TestCoalescing:
-    def _router(self, model, clock, **kwargs):
-        kwargs.setdefault("n_jobs", 1)
-        kwargs.setdefault("max_batch", 4)
-        kwargs.setdefault("max_delay", 1.0)
-        return ScoringRouter(model, version="v", clock=clock, **kwargs)
-
-    def test_size_bound_flushes(self, regressor):
-        model, X = regressor
-        with self._router(model, clock=lambda: 0.0) as router:
-            for i in range(7):
-                router.submit(ScoreRequest(row=X[i]))
-            # 7 submits at max_batch=4: one full flush, 3 pending.
-            assert router.stats.micro_batches == 1
-            done = router.drain()
-            assert len(done) == 7
-            assert router.stats.micro_batches == 2
-
-    def test_deadline_bound_flushes(self, regressor):
-        model, X = regressor
-        now = [0.0]
-        with self._router(model, clock=lambda: now[0]) as router:
-            router.submit(ScoreRequest(row=X[0]))
-            router.submit(ScoreRequest(row=X[1]))
-            assert router.poll() == []  # deadline not reached
-            now[0] = 2.0
-            done = router.poll()  # deadline passed -> flushed
-            assert len(done) == 2
-            assert router.stats.micro_batches == 1
-
-    def test_submit_after_deadline_flushes_previous(self, regressor):
-        model, X = regressor
-        now = [0.0]
-        with self._router(model, clock=lambda: now[0]) as router:
-            router.submit(ScoreRequest(row=X[0]))
-            now[0] = 5.0
-            router.submit(ScoreRequest(row=X[1]))  # flushes request 0
-            assert router.stats.micro_batches == 1
-            assert len(router.poll()) == 1
-            assert len(router.drain()) == 1
-
-    def test_results_in_submission_order(self, regressor):
-        model, X = regressor
-        service = ScoringService(model, version="v")
-        expected = [
-            r.raw_score for r in service.score_rows(X[:10], explain=False)
-        ]
-        with self._router(model, clock=lambda: 0.0, n_jobs=2) as router:
-            for i in range(10):
-                router.submit(ScoreRequest(row=X[i]))
-            got = [r.raw_score for r in router.drain()]
-        assert got == expected
 
 
 class TestRegistryAndValidation:
@@ -238,13 +182,6 @@ class TestRegistryAndValidation:
         with pytest.raises(ValueError, match="feature names"):
             ScoringRouter(model, feature_names=["a"])
 
-    def test_bad_bounds_rejected(self, regressor):
-        model, _ = regressor
-        with pytest.raises(ValueError, match="max_batch"):
-            ScoringRouter(model, max_batch=0)
-        with pytest.raises(ValueError, match="max_delay"):
-            ScoringRouter(model, max_delay=-1)
-
     def test_closed_router_rejects_work(self, regressor):
         model, X = regressor
         router = ScoringRouter(model, version="v", n_jobs=1)
@@ -255,54 +192,6 @@ class TestRegistryAndValidation:
 
 
 class TestFlushApiAndShutdown:
-    def test_external_flush_drives_batches(self, regressor):
-        model, X = regressor
-        service = ScoringService(model, version="v")
-        expected = [
-            r.raw_score for r in service.score_rows(X[:6], explain=False)
-        ]
-        # A huge deadline: nothing flushes until the external timer does.
-        with ScoringRouter(
-            model, version="v", n_jobs=1, max_delay=1e9
-        ) as router:
-            for i in range(6):
-                router.submit(ScoreRequest(row=X[i]))
-            assert router.pending == 6
-            assert router.oldest_wait() is not None
-            assert router.poll() == []  # deadline has not passed
-            router.flush()
-            assert router.pending == 0
-            assert router.oldest_wait() is None
-            got = [r.raw_score for r in router.poll()]
-        assert got == expected
-
-    def test_flush_with_nothing_pending_is_noop(self, regressor):
-        model, _X = regressor
-        with ScoringRouter(model, version="v", n_jobs=1) as router:
-            router.flush()
-            assert router.stats.micro_batches == 0
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_close_flushes_pending_requests(self, regressor, jobs):
-        """SIGTERM-style shutdown: close() drops zero submitted requests."""
-        model, X = regressor
-        service = ScoringService(model, version="v")
-        expected = service.score_rows(X[:5], explain=False)
-        router = ScoringRouter(
-            model, version="v", n_jobs=jobs, max_delay=1e9
-        )
-        try:
-            for i in range(5):
-                router.submit(ScoreRequest(row=X[i]))
-            assert router.pending == 5
-        finally:
-            router.close()
-        # The flushed results stay collectable after the close.
-        got = router.poll()
-        _assert_results_equal(got, expected)
-        assert router.drain() == []  # drain after close is safe too
-        router.close()  # and close stays idempotent
-
     def test_shard_rows_accounting(self, regressor):
         model, X = regressor
         with ScoringRouter(model, version="v", n_jobs=2) as router:
