@@ -88,11 +88,11 @@ class BinMapper:
                 f"{len(self.bin_edges_)}"
             )
         out = np.empty(X.shape, dtype=np.uint8, order=order)
+        # NaN sorts past every edge, so its code is overwritten below
+        # by one mask pass over the whole matrix.
         for f, cut in enumerate(self.bin_edges_):
-            col = X[:, f]
-            codes = np.searchsorted(cut, col, side="left").astype(np.uint8)
-            codes[np.isnan(col)] = self.missing_bin
-            out[:, f] = codes
+            out[:, f] = cut.searchsorted(X[:, f])
+        np.putmask(out, np.isnan(X), self.missing_bin)
         return out
 
     def fit_transform(self, X: np.ndarray, order: str = "C") -> np.ndarray:

@@ -20,7 +20,10 @@ re-implements that machinery with two interchangeable engines:
     Exponential-time reference of the same value function (subset
     enumeration), used to property-test both fast engines.
 ``LocalExplanation`` / ``top_k_features`` / ``local_reports``
-    Per-patient attribution reports (paper Fig. 6).
+    Per-patient attribution reports (paper Fig. 6).  ``top_k_features``
+    takes one row (one report) or a whole ``(n, d)`` batch (a list of
+    reports from a single row-wise ranking pass); the per-row builder
+    it replaced is kept in :mod:`repro.explain.reference` as its oracle.
 ``GlobalDependence`` / ``dependence_curve`` / ``detect_threshold``
     Population-level value-vs-SV curves and the automatic cutoff
     extraction the paper highlights in Fig. 7.

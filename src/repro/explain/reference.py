@@ -9,6 +9,10 @@ production engine is the batched one in
 this module is kept verbatim as an independently-derived oracle for the
 equivalence test suite (and both are property-tested against brute-force
 subset enumeration in :mod:`repro.explain.exact`).
+
+It also keeps the per-row top-k report builder
+(:func:`reference_top_k_features`), the oracle of the batched
+:func:`repro.explain.reports.top_k_features`.
 """
 
 from __future__ import annotations
@@ -16,11 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.boosting.tree import LEAF, Tree, TreeEnsemble
+from repro.explain.reports import LocalExplanation
 from repro.explain.structure import tree_expected_value
 
 __all__ = [
     "ReferenceTreeShapExplainer",
     "ReferenceTreeShapInteractionExplainer",
+    "reference_top_k_features",
 ]
 
 
@@ -316,3 +322,28 @@ class ReferenceTreeShapInteractionExplainer:
         np.fill_diagonal(out, 0.0)
         np.fill_diagonal(out, plain - out.sum(axis=1))
         return out
+
+
+def reference_top_k_features(
+    shap_row: np.ndarray,
+    x_row: np.ndarray,
+    feature_names: list[str],
+    prediction: float,
+    expected_value: float,
+    k: int = 5,
+) -> LocalExplanation:
+    """Top-k local report for one sample, one Python pass per field."""
+    shap_row = np.asarray(shap_row, dtype=np.float64)
+    x_row = np.asarray(x_row, dtype=np.float64)
+    if len(shap_row) != len(feature_names) or len(x_row) != len(feature_names):
+        raise ValueError("shap/x/feature_names lengths differ")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    order = np.argsort(-np.abs(shap_row))[:k]
+    return LocalExplanation(
+        prediction=float(prediction),
+        expected_value=float(expected_value),
+        features=tuple(feature_names[i] for i in order),
+        contributions=tuple(float(shap_row[i]) for i in order),
+        values=tuple(float(x_row[i]) for i in order),
+    )

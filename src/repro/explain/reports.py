@@ -88,29 +88,56 @@ def top_k_features(
     shap_row: np.ndarray,
     x_row: np.ndarray,
     feature_names: list[str],
-    prediction: float,
+    prediction: float | np.ndarray,
     expected_value: float,
     k: int = 5,
-) -> LocalExplanation:
-    """Build the paper's top-k local report for one sample.
+) -> LocalExplanation | list[LocalExplanation]:
+    """Build the paper's top-k local reports for one sample or a batch.
 
     The paper reports "the 5 most relevant Shapley Values" per patient
     (Fig. 6); ``k`` defaults accordingly.
+
+    With 1-D ``shap_row``/``x_row`` (length ``d``) and a scalar
+    ``prediction`` the result is one :class:`LocalExplanation`.  With
+    2-D ``(n, d)`` matrices and a length-``n`` vector of predictions it
+    is a list of ``n`` reports, ranked by one row-wise ``argsort`` of
+    ``-|phi|`` and filled by two gathers; every field equals the
+    per-row report bit for bit (the sort kind is the same, so exact
+    ties keep their order).
     """
-    shap_row = np.asarray(shap_row, dtype=np.float64)
-    x_row = np.asarray(x_row, dtype=np.float64)
-    if len(shap_row) != len(feature_names) or len(x_row) != len(feature_names):
+    shap = np.asarray(shap_row, dtype=np.float64)
+    x = np.asarray(x_row, dtype=np.float64)
+    if shap.ndim == 1:
+        return top_k_features(
+            shap[None], x[None], feature_names, [float(prediction)], expected_value, k=k
+        )[0]
+    if shap.ndim != 2 or x.shape != shap.shape or shap.shape[1] != len(feature_names):
         raise ValueError("shap/x/feature_names lengths differ")
     if k < 1:
         raise ValueError("k must be >= 1")
-    order = np.argsort(-np.abs(shap_row))[:k]
-    return LocalExplanation(
-        prediction=float(prediction),
-        expected_value=float(expected_value),
-        features=tuple(feature_names[i] for i in order),
-        contributions=tuple(float(shap_row[i]) for i in order),
-        values=tuple(float(x_row[i]) for i in order),
-    )
+    predictions = np.asarray(prediction, dtype=np.float64)
+    if predictions.shape != (shap.shape[0],):
+        raise ValueError(
+            f"expected {shap.shape[0]} predictions, got shape "
+            f"{predictions.shape}"
+        )
+    order = np.argsort(-np.abs(shap), axis=1)[:, :k]
+    contributions = np.take_along_axis(shap, order, axis=1).tolist()
+    values = np.take_along_axis(x, order, axis=1).tolist()
+    names = list(feature_names)
+    expected_value = float(expected_value)
+    return [
+        LocalExplanation(
+            prediction=p,
+            expected_value=expected_value,
+            features=tuple([names[i] for i in idx]),
+            contributions=tuple(c),
+            values=tuple(v),
+        )
+        for p, idx, c, v in zip(
+            predictions.tolist(), order.tolist(), contributions, values
+        )
+    ]
 
 
 def local_reports(
@@ -126,7 +153,8 @@ def local_reports(
     :meth:`~repro.explain.treeshap.TreeShapExplainer.shap_values`: the
     per-sample predictions are recovered from the efficiency axiom
     (``expected_value + row.sum()``), so a cohort's reports need no
-    second model pass.
+    second model pass, and all of them come from one batch call of
+    :func:`top_k_features`.
     """
     shap_matrix = np.asarray(shap_matrix, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -136,13 +164,9 @@ def local_reports(
             f"X shape {X.shape}"
         )
     predictions = expected_value + shap_matrix.sum(axis=1)
-    return [
-        top_k_features(
-            shap_matrix[i], X[i], feature_names,
-            float(predictions[i]), expected_value, k=k,
-        )
-        for i in range(X.shape[0])
-    ]
+    return top_k_features(
+        shap_matrix, X, feature_names, predictions, expected_value, k=k
+    )
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,19 @@ Capacity and its five domains.  The KD pipeline needs that structure to
 (a) verify that an expert variable subset covers every domain and (b)
 navigate from variables to domains when reporting.  A full OWL stack is
 unnecessary: the hierarchy is a rooted DAG with typed nodes, which
-``networkx`` models directly.
+``networkx`` models directly.  ``networkx`` is imported only where a
+graph is built or validated, so processes that never build the ontology
+(model serving) do not load it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.cohort.schema import IC_DOMAINS, PRO_ITEMS
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["IntrinsicCapacityOntology"]
 
@@ -53,6 +58,8 @@ class IntrinsicCapacityOntology:
     @classmethod
     def default(cls) -> "IntrinsicCapacityOntology":
         """Ontology over the canonical PRO item bank + activity variables."""
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_node(cls.ROOT, kind="root")
         for domain in IC_DOMAINS:
@@ -69,6 +76,8 @@ class IntrinsicCapacityOntology:
 
     @staticmethod
     def _validate(graph: nx.DiGraph) -> None:
+        import networkx as nx
+
         if not nx.is_directed_acyclic_graph(graph):
             raise ValueError("ontology graph must be a DAG")
         for node, data in graph.nodes(data=True):

@@ -10,8 +10,9 @@ the hot path fast without changing a single output bit:
    decision structures.
 2. **Micro-batching** — a batch of requests is quantized with one
    ``BinMapper.transform``, predicted with one ``predict_raw_binned``
-   sweep and explained with one ``shap_values_binned`` call, regardless
-   of how the predict/explain flags are mixed across requests.
+   sweep, explained with one ``shap_values_binned`` call and reported
+   with one batch ``top_k_features`` call, regardless of how the
+   predict/explain flags are mixed across requests.
 3. **Exact caching** — results are cached under ``(version tag, row bin
    codes)``.  Codes are the model's own quantized representation, so a
    hit is bitwise-identical to recomputation; repeated-cohort traffic
@@ -380,27 +381,33 @@ class ScoringService:
         rows: np.ndarray,
         plan: _Plan,
     ) -> list[ScoreResult]:
+        entries = [plan.entry_by_key[key] for key in plan.keys]
+        # Every report of the batch comes from one top_k_features call
+        # over the stacked SHAP rows of the explained requests.
+        explained = [i for i, req in enumerate(requests) if req.explain]
+        reports = iter(())
+        if explained:
+            reports = iter(
+                top_k_features(
+                    np.stack([entries[i].phi for i in explained]),
+                    rows[explained],
+                    self.feature_names,
+                    prediction=[entries[i].raw for i in explained],
+                    expected_value=self.explainer.expected_value,
+                    k=self.top_k,
+                )
+            )
         results = []
         is_classifier = isinstance(self.model, GBClassifier)
         for i, req in enumerate(requests):
-            entry = plan.entry_by_key[plan.keys[i]]
-            raw = entry.raw
+            raw = entries[i].raw
             if is_classifier:
                 probability = float(self.model.proba_from_raw(raw))
                 prediction = float(probability >= 0.5)
             else:
                 probability = None
                 prediction = raw
-            explanation = None
-            if req.explain:
-                explanation = top_k_features(
-                    entry.phi,
-                    rows[i],
-                    self.feature_names,
-                    prediction=raw,
-                    expected_value=self.explainer.expected_value,
-                    k=self.top_k,
-                )
+            explanation = next(reports) if req.explain else None
             if plan.satisfied[i]:
                 self._stats.cache_hits += 1
             elif plan.deduped[i]:

@@ -2,8 +2,51 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.boosting import BinMapper
+
+
+def loop_transform(mapper: BinMapper, X: np.ndarray, order: str) -> np.ndarray:
+    """The per-column transform (cast, NaN mask and copy per feature)."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape, dtype=np.uint8, order=order)
+    for f, cut in enumerate(mapper.bin_edges_):
+        col = X[:, f]
+        codes = np.searchsorted(cut, col, side="left").astype(np.uint8)
+        codes[np.isnan(col)] = mapper.missing_bin
+        out[:, f] = codes
+    return out
+
+
+@st.composite
+def mapper_and_matrix(draw):
+    """A fitted mapper plus a matrix probing its edges and specials."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    d = draw(st.integers(1, 6))
+    max_bins = draw(st.sampled_from([2, 4, 16, 64, 255]))
+    rng = np.random.default_rng(seed)
+    fit = np.round(rng.normal(size=(draw(st.integers(1, 300)), d)), 2)
+    fit[rng.random(fit.shape) < 0.2] = np.nan
+    if draw(st.booleans()):
+        fit[:, rng.integers(d)] = np.nan  # an all-missing feature
+    mapper = BinMapper(max_bins=max_bins).fit(fit)
+    edges = np.concatenate(mapper.bin_edges_ + [np.zeros(1)])
+    probes = np.concatenate(
+        [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+    )
+    elements = st.one_of(
+        st.sampled_from(probes.tolist()),
+        st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+        st.floats(allow_nan=True, allow_infinity=True, width=64),
+    )
+    n = draw(st.sampled_from([0, 1, 64]) | st.integers(0, 20))
+    X = draw(arrays(np.float64, (n, d), elements=elements))
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    return mapper, X
 
 
 class TestFit:
@@ -83,6 +126,20 @@ class TestTransform:
         X = np.sort(rng.normal(size=(200, 1)), axis=0)
         codes = BinMapper(max_bins=16).fit_transform(X)
         assert (np.diff(codes[:, 0].astype(int)) >= 0).all()
+
+
+class TestTransformMatchesLoop:
+    @given(case=mapper_and_matrix(), order=st.sampled_from(["C", "F"]))
+    @settings(max_examples=200, deadline=None)
+    def test_codes_and_layout_equal_the_column_loop(self, case, order):
+        mapper, X = case
+        got = mapper.transform(X, order=order)
+        want = loop_transform(mapper, X, order)
+        assert got.dtype == want.dtype == np.uint8
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert got.flags.f_contiguous == want.flags.f_contiguous
 
 
 class TestThresholdValue:

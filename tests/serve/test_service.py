@@ -1,5 +1,11 @@
 """Unit tests for repro.serve.service (micro-batched scoring)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -325,3 +331,47 @@ class TestValidation:
         model, X = regressor
         with pytest.raises(ValueError, match="2-D"):
             ScoringService(model).score_rows(X[0])
+
+
+class TestImportFootprint:
+    def test_scoring_does_not_load_networkx(self, regressor, tmp_path):
+        # Only the knowledge-driven ontology needs networkx; a serving
+        # process must not pay for it, and the KD pipeline still builds
+        # its graph on demand in the same process.
+        model, X = regressor
+        ModelRegistry(tmp_path).publish("sppb", model)
+        np.save(tmp_path / "rows.npy", X[:8])
+        script = textwrap.dedent(
+            f"""
+            import sys
+            import numpy as np
+            from repro.serve import ModelRegistry, ScoreRequest, ScoringService
+            service = ScoringService.from_registry(
+                ModelRegistry({str(tmp_path)!r}), "sppb"
+            )
+            rows = np.load({str(tmp_path / "rows.npy")!r})
+            results = service.score_batch(
+                [ScoreRequest(row=r, explain=True) for r in rows]
+            )
+            assert all(r.explanation is not None for r in results)
+            assert "networkx" not in sys.modules, "networkx loaded"
+            from repro.cohort import ClinicConfig, CohortConfig, generate_cohort
+            from repro.pipeline import build_dd_samples, build_kd_samples
+            cohort = generate_cohort(
+                CohortConfig(seed=3, clinics=(ClinicConfig("modena", 6),))
+            )
+            kd = build_kd_samples(build_dd_samples(cohort, "qol"))
+            assert kd.X.shape[0] > 0
+            assert "networkx" in sys.modules
+            """
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
