@@ -322,16 +322,26 @@ class FloatAccumulationRule(Rule):
         self, ctx: FileContext, func: ast.AST, np_roots: set[str]
     ) -> Iterator[Finding]:
         suspects = self._suspect_buffers(func)
-        if not suspects:
-            return
         for node in ast.walk(func):
             if not isinstance(node, ast.Call):
                 continue
             operand = self._sum_operand(node, np_roots)
-            if (
+            if operand is None:
+                continue
+            accumulator = self._accumulator_kind(node)
+            if accumulator in ("float32", "variable"):
+                # The call's own dtype argument sets the accumulator,
+                # whatever the operand holds.
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"accumulating in a {accumulator} dtype; sum channels "
+                    "in this module must be float64",
+                )
+            elif (
                 isinstance(operand, ast.Name)
                 and operand.id in suspects
-                and not self._widens_to_float64(node)
+                and accumulator != "float64"
             ):
                 yield self.finding(
                     ctx,
@@ -398,11 +408,12 @@ class FloatAccumulationRule(Rule):
         return None
 
     @staticmethod
-    def _widens_to_float64(node: ast.Call) -> bool:
-        return any(
-            kw.arg == "dtype" and _dtype_kind(kw.value) == "float64"
-            for kw in node.keywords
-        )
+    def _accumulator_kind(node: ast.Call) -> str | None:
+        """The kind of the call's ``dtype=`` argument, if it has one."""
+        for kw in node.keywords:
+            if kw.arg == "dtype":
+                return _dtype_kind(kw.value)
+        return None
 
 
 #: Method calls that mutate a container in place.

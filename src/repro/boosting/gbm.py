@@ -10,12 +10,13 @@ The fit loop is classic Newton boosting:
 4. optionally early-stop on a validation set.
 
 Raw-score bookkeeping never touches the float feature matrix after
-binning: the grower reports the leaf each in-sample row landed in, so
-step 3 is a direct ``value[leaf]`` gather; out-of-sample rows (row
-subsampling) and the early-stopping eval set are binned once up front
-and routed through :meth:`Tree.predict_binned`, skipping the NaN-checked
-float traversal entirely.  Only :meth:`predict` on fresh data pays the
-raw-threshold path.
+binning, and never traverses a tree: the eval set is binned once up
+front, below the training rows of one matrix, and each round the
+out-of-bag rows (row subsampling) and the eval rows ride through the
+grower's partition as passengers.  The grower reports the leaf every
+row landed in, so step 3 is one direct ``value[leaf]`` gather for the
+training side and one for the eval side.  Only :meth:`predict` on fresh
+data pays the raw-threshold path.
 """
 
 from __future__ import annotations
@@ -59,7 +60,13 @@ class _BaseGB:
         raise NotImplementedError
 
     def _validate_targets(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(y, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        # A non-finite target turns every gradient sum it touches into
+        # NaN: predictions go NaN, and an eval loss that is NaN never
+        # improves, so early stopping would silently keep its patience.
+        if not np.isfinite(y).all():
+            raise ValueError("targets must be finite (no NaN or inf)")
+        return y
 
     # ------------------------------------------------------------------
     def fit(
@@ -81,10 +88,8 @@ class _BaseGB:
         y = self._validate_targets(y)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if len(y) != X.shape[0]:
-            raise ValueError(
-                f"X has {X.shape[0]} rows but y has {len(y)} entries"
-            )
+        if y.ndim != 1 or len(y) != X.shape[0]:
+            raise ValueError(f"X has {X.shape[0]} rows but y has shape {y.shape}")
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
         if (
@@ -95,11 +100,32 @@ class _BaseGB:
                 f"monotone_constraints has {len(cfg.monotone_constraints)} "
                 f"entries but X has {X.shape[1]} features"
             )
+        has_eval = eval_set is not None
+        if has_eval:
+            X_val = np.asarray(eval_set[0], dtype=np.float64)
+            y_val = self._validate_targets(eval_set[1])
+            if X_val.ndim != 2 or X_val.shape[1] != X.shape[1]:
+                raise ValueError(
+                    f"eval_set X must have shape (n, {X.shape[1]}), "
+                    f"got {X_val.shape}"
+                )
+            if X_val.shape[0] == 0:
+                raise ValueError("eval_set is empty")
+            if y_val.ndim != 1 or len(y_val) != X_val.shape[0]:
+                raise ValueError(
+                    f"eval_set X has {X_val.shape[0]} rows but y has "
+                    f"shape {y_val.shape}"
+                )
         self.n_features_ = X.shape[1]
 
         mapper = BinMapper(max_bins=cfg.max_bins).fit(X)
         self.mapper_ = mapper
-        binned = mapper.transform(X, order="F")
+        # Binning is row-independent, so the eval rows share one matrix
+        # with the training rows and follow them through every split.
+        n = X.shape[0]
+        binned = mapper.transform(
+            np.concatenate((X, X_val)) if has_eval else X, order="F"
+        )
         # sklearn-style layout split: the grower scans columns of the
         # F-ordered matrix; histogram workers and the pool share it via
         # shm.  Serial fits (the default) never touch the pool.
@@ -115,21 +141,16 @@ class _BaseGB:
 
         base = self._loss.base_score(y)
         ensemble = TreeEnsemble(base_score=base, trees=[])
-        raw = np.full(X.shape[0], base, dtype=np.float64)
-
-        has_eval = eval_set is not None
+        raw = np.full(n, base, dtype=np.float64)
         if has_eval:
-            X_val = np.asarray(eval_set[0], dtype=np.float64)
-            y_val = self._validate_targets(eval_set[1])
-            binned_val = mapper.transform(X_val)
             raw_val = np.full(X_val.shape[0], base, dtype=np.float64)
         best_loss = np.inf
         best_iter = 0
         self.eval_history_ = []
 
-        n = X.shape[0]
         d = X.shape[1]
-        leaf_buf = np.empty(n, dtype=np.int64)
+        eval_rows = np.arange(n, binned.shape[0])
+        leaf_buf = np.empty(binned.shape[0], dtype=np.int64)
         try:
             for round_idx in range(cfg.n_estimators):
                 grad, hess = self._loss.gradient_hessian(raw, y)
@@ -137,8 +158,12 @@ class _BaseGB:
                     take = max(1, int(round(cfg.subsample * n)))
                     rows = rng.choice(n, size=take, replace=False)
                     rows.sort()
+                    oob = np.ones(n, dtype=bool)
+                    oob[rows] = False
+                    passengers = np.concatenate((np.flatnonzero(oob), eval_rows))
                 else:
                     rows = np.arange(n)
+                    passengers = eval_rows
                 if cfg.colsample_bytree < 1.0:
                     take_f = max(1, int(round(cfg.colsample_bytree * d)))
                     chosen = rng.choice(d, size=take_f, replace=False)
@@ -148,19 +173,20 @@ class _BaseGB:
                     feature_mask = np.ones(d, dtype=bool)
 
                 tree = grower.grow(
-                    grad, hess, rows, feature_mask, leaf_out=leaf_buf
+                    grad,
+                    hess,
+                    rows,
+                    feature_mask,
+                    leaf_out=leaf_buf,
+                    passengers=passengers,
                 )
                 ensemble.trees.append(tree)
-                raw[rows] += tree.value[leaf_buf[rows]]
-                if rows.size < n:
-                    oob = np.ones(n, dtype=bool)
-                    oob[rows] = False
-                    raw[oob] += tree.predict_binned(
-                        binned[oob], mapper.missing_bin
-                    )
+                # Every training row is either in-bag or a passenger, so
+                # each raw score gains exactly its leaf's value.
+                raw += tree.value[leaf_buf[:n]]
 
                 if has_eval:
-                    raw_val += tree.predict_binned(binned_val, mapper.missing_bin)
+                    raw_val += tree.value[leaf_buf[n:]]
                     val_loss = self._loss.loss(raw_val, y_val)
                     self.eval_history_.append(val_loss)
                     if val_loss < best_loss - 1e-12:

@@ -20,7 +20,7 @@ every scannable node.  :class:`HistogramPool` parallelises that build
 * The grower batches all nodes of a tree level into one *wave*
   (:meth:`HistogramPool.accumulate`): the concatenated row indices are
   written to a shared scratch buffer, one task per block carries
-  ``(f0, f1, wave bounds, n_channels, mask, flat_rows_max)``, each
+  ``(f0, f1, wave bounds, n_channels, mask)``, each
   worker bincounts its feature block for every node of the wave into
   its disjoint slice of a shared output buffer, and the parent copies
   the assembled histograms out.
@@ -59,7 +59,7 @@ import numpy as np
 from repro.parallel.executor import ShardedPool, _start_method, resolve_jobs
 from repro.parallel.shared import _ArraySpec, attach_shared, release_shared
 
-__all__ = ["HistogramPool"]
+__all__ = ["FLAT_CELLS_MAX", "HistogramPool"]
 
 #: The output buffer always reserves three channels (grad, hess, count)
 #: even for unit-hessian rounds that use only two.
@@ -69,10 +69,11 @@ _MAX_CHANNELS = 3
 #: than fit are transparently chunked.
 _OUT_CAP_BYTES = 32 << 20
 
-#: Default small-node threshold below which the flat offset-codes
-#: bincount replaces the per-feature loop (kept in sync with the
-#: grower via ``HistogramPool.flat_rows_max``).
-_FLAT_ROWS_MAX = 1024
+#: Nodes with at most this many rows x features cells accumulate with
+#: one flat offset-codes bincount instead of the per-feature loop.  The
+#: serial grower reads the same constant: both sides must pick the same
+#: path for a node, since the flat path also fills masked-out features.
+FLAT_CELLS_MAX = 1 << 18
 
 
 def _feature_blocks(n_features: int, jobs: int) -> list[tuple[int, int]]:
@@ -97,15 +98,16 @@ def _accumulate_block(
     f0: int,
     f1: int,
     mask: np.ndarray | None,
-    flat_rows_max: int,
 ) -> None:
     """Fill ``hist[:, f0:f1, :]`` with one node's per-(feature, bin) sums.
 
     This is the serial grower's accumulation restricted to one feature
     block: every (feature, bin) cell is a single ``np.bincount`` over
     ``rows`` in ascending row order, so the result is independent of
-    how features are partitioned across workers.  Small nodes use the
-    flat offset-codes bincount (which, like the serial flat path, also
+    how features are partitioned across workers.  Nodes of at most
+    :data:`FLAT_CELLS_MAX` rows x features cells (counted over the whole
+    matrix, as the grower counts them) use the flat offset-codes
+    bincount (which, like the serial flat path, also
     fills features excluded by ``mask`` — harmless, every consumer is
     mask-guarded); large nodes accumulate one masked-in feature at a
     time, leaving masked-out features at exact zero.
@@ -115,7 +117,7 @@ def _accumulate_block(
     unit_hess = nch == 2
     block = hist[:, f0:f1, :]
     g_rows = grad[rows]
-    if rows.size <= flat_rows_max:
+    if rows.size * binned.shape[1] <= FLAT_CELLS_MAX:
         d_block = f1 - f0
         offsets = np.arange(d_block, dtype=np.int64) * stride
         flat = (binned[rows, f0:f1].astype(np.int64) + offsets).ravel()
@@ -150,7 +152,7 @@ def _accumulate_block(
 
 def _accumulate_wave(task: tuple, state: dict) -> None:
     """One block's share of a wave: every node's slice of ``out``."""
-    f0, f1, bounds, nch, mask, flat_rows_max = task
+    f0, f1, bounds, nch, mask = task
     gh, rows, out = state["gh"], state["rows"], state["out"]
     for slot, (start, stop) in enumerate(bounds):
         _accumulate_block(
@@ -162,7 +164,6 @@ def _accumulate_wave(task: tuple, state: dict) -> None:
             f0,
             f1,
             mask,
-            flat_rows_max,
         )
 
 
@@ -180,7 +181,9 @@ class HistogramPool(ShardedPool):
     ----------
     binned:
         ``(n_samples, n_features)`` uint8 bin codes (made F-contiguous,
-        matching the grower's training layout).
+        matching the grower's training layout).  The training rows lead;
+        rows after them (the grower's passengers) are never
+        histogrammed, so each round's gradients may be shorter.
     missing_bin:
         The mapper's missing-value bin code; ``stride = missing_bin + 1``
         is the per-feature histogram width.
@@ -203,7 +206,6 @@ class HistogramPool(ShardedPool):
         missing_bin: int,
         *,
         n_jobs: int | None = None,
-        flat_rows_max: int = _FLAT_ROWS_MAX,
         out_slots: int | None = None,
         task_deadline: float | None = None,
         max_respawns: int | None = None,
@@ -215,7 +217,6 @@ class HistogramPool(ShardedPool):
             binned if binned.flags.f_contiguous else np.asfortranarray(binned)
         )
         self.stride = missing_bin + 1
-        self.flat_rows_max = flat_rows_max
         n, d = self.binned.shape
         if out_slots is None:
             cell_bytes = _MAX_CHANNELS * d * self.stride * 8
@@ -302,8 +303,10 @@ class HistogramPool(ShardedPool):
             if bool(feature_mask.all())
             else np.ascontiguousarray(feature_mask, dtype=bool)
         )
-        self._arrays["gh"][0] = grad
-        self._arrays["gh"][1] = hess
+        # Gradients cover the training rows, which lead the matrix; any
+        # rows after them are passengers that no histogram reads.
+        self._arrays["gh"][0, : grad.size] = grad
+        self._arrays["gh"][1, : hess.size] = hess
 
     def accumulate(self, rows_list: list[np.ndarray]) -> list[np.ndarray]:
         """Histograms for one wave of nodes, in input order.
@@ -327,7 +330,7 @@ class HistogramPool(ShardedPool):
                 rows_buf[offset : offset + rows.size] = rows
                 bounds.append((offset, offset + rows.size))
                 offset += rows.size
-            wave = (bounds, self._nch, self._mask, self.flat_rows_max)
+            wave = (bounds, self._nch, self._mask)
             self.scatter(
                 _accumulate_wave,
                 [(w, (f0, f1, *wave)) for w, (f0, f1) in enumerate(self._blocks)],

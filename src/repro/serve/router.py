@@ -61,8 +61,6 @@ class RouterStats:
     """Lifetime counters of one :class:`ScoringRouter`."""
 
     requests: int = 0
-    micro_batches: int = 0
-    shard_batches: int = 0
     total_seconds: float = 0.0
     #: Rows executed per cache shard (shard id -> row count); the
     #: occupancy view the ops plane's ``/metrics`` endpoint exposes.
@@ -258,8 +256,6 @@ class ScoringRouter:
                 shard, 0
             ) + len(idx)
         self._stats.requests += len(batch)
-        self._stats.micro_batches += 1
-        self._stats.shard_batches += len(tasks)
         self._stats.total_seconds += time.perf_counter() - t0
         return results
 

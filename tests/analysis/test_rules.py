@@ -104,6 +104,29 @@ class TestRep001Edges:
         assert lint_source(src, tags=frozenset()).clean
 
 
+FLOAT64_SUMS = frozenset({"float64-sums"})
+
+
+class TestRep004Edges:
+    def test_narrowing_dtype_on_the_sum_flagged(self):
+        # The operand carries no dtype evidence; the call's own dtype
+        # argument sets a float32 accumulator.
+        src = (
+            "import numpy as np\n\n"
+            "def f(hist, out):\n"
+            "    np.cumsum(hist, axis=2, dtype=np.float32, out=out)\n"
+        )
+        assert rules_in(lint_source(src, tags=FLOAT64_SUMS)) == {"REP004"}
+
+    def test_runtime_dtype_on_the_sum_flagged(self):
+        src = "def f(hist, dt):\n    return hist.cumsum(axis=-1, dtype=dt)\n"
+        assert rules_in(lint_source(src, tags=FLOAT64_SUMS)) == {"REP004"}
+
+    def test_float64_dtype_on_the_sum_is_clean(self):
+        src = "import numpy as np\n\ndef f(h):\n    return h.sum(dtype=np.float64)\n"
+        assert lint_source(src, tags=FLOAT64_SUMS).clean
+
+
 class TestScopeResolution:
     def test_package_defaults_apply_by_path(self, tmp_path):
         pkg = tmp_path / "repro" / "explain"

@@ -11,14 +11,25 @@ Two families of guarantees:
 * The split scan must consider the "all non-missing left, missing
   right" candidate (raw threshold ``+inf``) that the pre-fix scan
   silently dropped for features using their full bin budget.
+
+Each optimisation of one boosting round is also checked bitwise against
+the path it replaced: passenger rows against ``Tree.predict_binned``,
+the flat histogram path against the per-feature one on both sides of
+the cell crossover, and the contiguous split scan against the padded
+scan it replaced (kept below as the oracle).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.boosting import BinMapper, GBConfig, GBRegressor
-from repro.boosting.grower import TreeGrower
+import repro.boosting.grower as grower_mod
+from repro.boosting import BinMapper, GBClassifier, GBConfig, GBRegressor
+from repro.boosting.grower import TreeGrower, _NodeTask
+from repro.boosting.losses import LogisticLoss, SquaredErrorLoss
 from repro.boosting.tree import LEAF
+from repro.parallel.hist import FLAT_CELLS_MAX, HistogramPool
 
 
 def make_data(seed, n=500, d=6, missing=0.15):
@@ -84,11 +95,13 @@ class TestSubtractionEquivalence:
         assert_trees_equivalent(sub, scratch)
 
     def test_large_node_per_feature_path(self):
-        # Nodes above the grower's flat-path row cap accumulate
-        # histograms per feature; a node count straddling the cap
-        # exercises the per-feature path, the flat path, and the
-        # subtraction crossover between them in one tree.
-        X, y = make_data(9, n=2500, missing=0.15)
+        # Nodes above the grower's flat-path cell cap accumulate
+        # histograms per feature; a root above the cap whose children
+        # fall below it exercises the per-feature path, the flat path,
+        # and the subtraction crossover between them in one tree.
+        n, d = 6000, 48
+        assert n * d > FLAT_CELLS_MAX >= (n // 2 + 500) * d
+        X, y = make_data(9, n=n, d=d, missing=0.15)
         sub, scratch = grow_both_ways(X, y, max_depth=4, min_child_weight=5.0)
         assert_trees_equivalent(sub, scratch)
 
@@ -242,3 +255,323 @@ class TestBinnedPrediction:
         )
         assert np.array_equal(tree.value[leaf_out], tree.predict(X))
         assert (tree.children_left[leaf_out] == LEAF).all()
+
+
+def assert_trees_identical(a, b):
+    """Bitwise equality of every per-node array."""
+    for name in (
+        "children_left",
+        "children_right",
+        "feature",
+        "bin_threshold",
+        "missing_left",
+        "value",
+        "cover",
+    ):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
+
+
+class TestPassengers:
+    """Out-of-bag and eval rows routed through the grower's partition
+    land where :meth:`Tree.predict_binned` sends them, and change
+    nothing about the tree."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        missing=st.sampled_from([0.0, 0.2, 0.7]),
+        subsample=st.sampled_from([1.0, 0.8, 0.4]),
+        colsample=st.sampled_from([1.0, 0.6]),
+        monotone=st.booleans(),
+        logistic=st.booleans(),
+        n_eval=st.integers(0, 40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_passenger_leaves_match_predict_binned(
+        self, seed, missing, subsample, colsample, monotone, logistic, n_eval
+    ):
+        rng = np.random.default_rng(seed)
+        n, d = 240, 5
+        X, y = make_data(seed, n=n, d=d, missing=missing)
+        X_val, _ = make_data(seed + 1, n=n_eval, d=d, missing=missing)
+        if n_eval >= 2:
+            X_val[0] = np.nan  # every feature in its missing bin
+            X_val[1] = 1e9  # past every edge
+        cfg = GBConfig(
+            max_depth=4,
+            min_child_weight=1.0,
+            monotone_constraints=(1, -1, 0, 0, 0) if monotone else None,
+        )
+        mapper = BinMapper(max_bins=cfg.max_bins).fit(X)
+        raw = rng.normal(scale=0.5, size=n)
+        if logistic:
+            grad, hess = LogisticLoss().gradient_hessian(
+                raw, (y > np.median(y)).astype(np.float64)
+            )
+        else:
+            grad, hess = SquaredErrorLoss().gradient_hessian(raw, y)
+        rows = np.arange(n)
+        if subsample < 1.0:
+            rows = np.sort(rng.choice(n, int(subsample * n), replace=False))
+        mask = rng.random(d) < colsample
+        mask[rng.integers(d)] = True
+        oob = np.setdiff1d(np.arange(n), rows)
+        passengers = np.concatenate((oob, np.arange(n, n + n_eval)))
+
+        binned = mapper.transform(np.concatenate((X, X_val)), order="F")
+        leaf = np.full(n + n_eval, -1, dtype=np.int64)
+        tree = TreeGrower(binned, mapper, cfg).grow(
+            grad, hess, rows, mask, leaf_out=leaf, passengers=passengers
+        )
+        plain_leaf = np.full(n, -1, dtype=np.int64)
+        plain = TreeGrower(mapper.transform(X, order="F"), mapper, cfg).grow(
+            grad, hess, rows, mask, leaf_out=plain_leaf
+        )
+        assert_trees_identical(tree, plain)
+        assert np.array_equal(leaf[rows], plain_leaf[rows])
+        assert (leaf >= 0).all()
+        assert (tree.children_left[leaf] == LEAF).all()
+        expected = tree.predict_binned(
+            np.ascontiguousarray(binned[passengers]), mapper.missing_bin
+        )
+        assert np.array_equal(tree.value[leaf[passengers]], expected)
+        X_all = np.concatenate((X, X_val))
+        for i in passengers[:: max(1, len(passengers) // 25)]:
+            assert leaf[i] == tree.decision_path(X_all[i])[-1]
+
+    @pytest.mark.parametrize("cls", [GBRegressor, GBClassifier])
+    def test_eval_history_matches_per_tree_prediction(self, cls):
+        # The fit loop's eval scores come from passenger leaves; summing
+        # each tree's predict_binned in round order must give the same
+        # bits, round by round.
+        X, y = make_data(31, n=400, missing=0.25)
+        if cls is GBClassifier:
+            y = (y > np.median(y)).astype(np.int64)
+        X_val, y_val = X[300:], y[300:]
+        model = cls(
+            n_estimators=25,
+            max_depth=4,
+            subsample=0.7,
+            colsample_bytree=0.8,
+            early_stopping_rounds=0,
+        ).fit(X[:300], y[:300], eval_set=(X_val, y_val))
+        codes = model.bin(X_val)
+        raw = np.full(len(y_val), model.ensemble_.base_score)
+        for tree, recorded in zip(model.ensemble_.trees, model.eval_history_):
+            raw += tree.predict_binned(codes, model.mapper_.missing_bin)
+            assert model._loss.loss(raw, np.asarray(y_val, dtype=np.float64)) == recorded
+        assert len(model.eval_history_) == 25
+
+
+class TestHistogramCrossover:
+    """Flat and per-feature accumulation agree bitwise on the features
+    the scan reads, on both sides of ``FLAT_CELLS_MAX``; the pool picks
+    the same path as the grower for every node."""
+
+    @pytest.mark.parametrize("unit_hess", [True, False])
+    def test_paths_agree_on_both_sides(self, unit_hess, monkeypatch):
+        rng = np.random.default_rng(5)
+        d = 64
+        cap = FLAT_CELLS_MAX // d
+        n = cap + 40
+        X = rng.normal(size=(n, d))
+        X[rng.random(X.shape) < 0.2] = np.nan
+        mapper = BinMapper(max_bins=32).fit(X)
+        binned = mapper.transform(X, order="F")
+        grower = TreeGrower(binned, mapper, GBConfig())
+        grower._n_channels = 2 if unit_hess else 3
+        grad = rng.normal(size=n)
+        hess = np.ones(n) if unit_hess else rng.uniform(0.05, 0.25, size=n)
+        mask = rng.random(d) < 0.8
+        active = np.flatnonzero(mask)
+        pool = HistogramPool(binned, mapper.missing_bin, n_jobs=1)
+        try:
+            pool.begin_round(grad, hess, mask, grower._n_channels)
+            for size in (cap, cap + 1):
+                flat_side = size * d <= FLAT_CELLS_MAX
+                rows = np.sort(rng.choice(n, size, replace=False))
+                auto = grower._histograms(rows, grad, hess, active)
+                # The flat path also fills masked-out features; the
+                # per-feature path leaves them at zero.
+                assert bool(auto[:, ~mask].any()) == flat_side
+                assert np.array_equal(pool.accumulate([rows])[0], auto)
+                monkeypatch.setattr(
+                    grower_mod, "FLAT_CELLS_MAX", 0 if flat_side else 1 << 40
+                )
+                other = grower._histograms(rows, grad, hess, active)
+                monkeypatch.undo()
+                assert np.array_equal(auto[:, active], other[:, active])
+        finally:
+            pool.close()
+
+    def test_pool_accepts_passenger_rows(self):
+        # A pool over the grower's train + eval matrix takes gradients
+        # for the training rows only.
+        X, y = make_data(12, n=300)
+        mapper = BinMapper(max_bins=32).fit(X[:250])
+        binned = mapper.transform(X, order="F")
+        mask = np.ones(X.shape[1], dtype=bool)
+        rows = np.arange(250)
+        grower = TreeGrower(binned, mapper, GBConfig())
+        grower._n_channels = 2
+        pool = HistogramPool(binned, mapper.missing_bin, n_jobs=1)
+        try:
+            grad = y[:250] - y[:250].mean()
+            pool.begin_round(grad, np.ones(250), mask, 2)
+            assert np.array_equal(
+                pool.accumulate([rows])[0],
+                grower._histograms(rows, grad, np.ones(250), np.arange(6)),
+            )
+        finally:
+            pool.close()
+
+
+def padded_scores(grower, tasks, feature_mask, mask_all):
+    """The split scan as it ran before the contiguous layout: the cast
+    histograms are cumsummed over the full stride, including the missing
+    bin, and the two missing-direction layers run one after the other on
+    strided ``[..., :-1]`` views.  Kept as the oracle for
+    :meth:`TreeGrower._candidate_scores`."""
+    cfg = grower.config
+    lam = cfg.reg_lambda
+    mcw = cfg.min_child_weight
+    k = len(tasks)
+    nch = grower._n_channels
+    stride = grower._stride
+    d = grower.n_features
+    n_bins = stride - 1
+    dt = grower._scan_dtype
+    hist = np.empty((k, nch, d, stride), dtype=dt)
+    for i, t in enumerate(tasks):
+        hist[i] = t.hist
+    cum = np.cumsum(hist, axis=3)
+    gl = cum[:, 0, :, :-1]
+    hl = cum[:, 1, :, :-1]
+    g_miss = hist[:, 0, :, -1:]
+    h_miss = hist[:, 1, :, -1:]
+    n_layers = 2 if bool((hist[:, -1, :, -1] > 0.0).any()) else 1
+    score = np.empty((k, n_layers, d, n_bins), dtype=dt)
+    g_tot = np.array([t.grad_sum for t in tasks], dtype=dt)[:, None, None]
+    h_tot = np.array([t.hess_sum for t in tasks], dtype=dt)[:, None, None]
+    need_occupancy = mcw < 1e-6
+    if need_occupancy:
+        cl = cum[:, -1, :, :-1]
+        left_nonempty = cl > 0.0
+        right_nonempty = cl < cl[:, :, -1:]
+        has_miss = hist[:, -1, :, -1:] > 0.0
+    lam_s = dt(lam)
+    mcw_s = dt(mcw)
+    for layer in range(n_layers):
+        if layer == 0:
+            gl_l, hl_l = gl, hl
+        else:
+            gl_l, hl_l = gl + g_miss, hl + h_miss
+        s = score[:, layer]
+        gr = g_tot - gl_l
+        hl_lam = hl_l + lam_s
+        hr_lam = (h_tot + lam_s) - hl_l
+        if mcw > 0:
+            valid = (hl_l >= mcw_s) & (hl_l <= h_tot - mcw_s)
+        else:
+            valid = np.ones(gl_l.shape, dtype=bool)
+        if need_occupancy:
+            if layer == 0:
+                valid &= left_nonempty & (right_nonempty | has_miss)
+            else:
+                valid &= right_nonempty & (left_nonempty | has_miss)
+        if not mask_all:
+            valid &= feature_mask[None, :, None]
+        if cfg.monotone_constraints is not None:
+            cons = np.asarray(cfg.monotone_constraints, dtype=dt)[None, :, None]
+            lower = np.array([t.lower for t in tasks], dtype=dt)[:, None, None]
+            upper = np.array([t.upper for t in tasks], dtype=dt)[:, None, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                wl = np.clip(-gl_l / hl_lam, lower, upper)
+                wr = np.clip(-gr / hr_lam, lower, upper)
+            valid &= (cons == 0) | (cons * (wr - wl) >= 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(gl_l, gl_l, out=s)
+            s /= hl_lam
+            gr = gr * gr
+            gr /= hr_lam
+            s += gr
+        s[~valid] = -np.inf
+    return score
+
+
+class TestContiguousScan:
+    """The contiguous split scan ranks every candidate with the same
+    bits as the padded scan it replaced."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 4),
+        missing=st.sampled_from([0.0, 0.1, 0.5]),
+        min_child_weight=st.sampled_from([0.0, 1e-7, 0.5, 4.0]),
+        reg_lambda=st.sampled_from([0.0, 1.0]),
+        monotone=st.booleans(),
+        unit_hess=st.booleans(),
+        colsample=st.booleans(),
+        huge=st.booleans(),
+        derived=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_padded_oracle(
+        self,
+        seed,
+        k,
+        missing,
+        min_child_weight,
+        reg_lambda,
+        monotone,
+        unit_hess,
+        colsample,
+        huge,
+        derived,
+    ):
+        rng = np.random.default_rng(seed)
+        n, d = 160, 5
+        X, _ = make_data(seed, n=n, d=d, missing=missing)
+        cfg = GBConfig(
+            min_child_weight=min_child_weight,
+            reg_lambda=reg_lambda,
+            monotone_constraints=(1, 0, -1, 0, 1) if monotone else None,
+        )
+        mapper = BinMapper(max_bins=16).fit(X)
+        grower = TreeGrower(mapper.transform(X, order="F"), mapper, cfg)
+        grad = rng.normal(size=n) * (1e16 if huge else 1.0)
+        hess = np.ones(n) if unit_hess else rng.uniform(0.01, 0.3, size=n)
+        # As grow() sets them for the round.
+        grower._n_channels = 2 if unit_hess else 3
+        grower._scan_dtype = np.float64 if huge else np.float32
+        mask = np.ones(d, dtype=bool)
+        if colsample:
+            mask[rng.choice(d, 2, replace=False)] = False
+        active = np.flatnonzero(mask)
+
+        tasks = []
+        for i, rows in enumerate(np.array_split(rng.permutation(n), k)):
+            rows = np.sort(rows)
+            hist = grower._histograms(rows, grad, hess, active)
+            if derived and rows.size > 4:
+                # A sibling by subtraction, residue scrubbed as grow()
+                # does it.
+                child = grower._histograms(rows[::3], grad, hess, active)
+                hist = hist - child
+                empty = hist[-1] == 0.0
+                for channel in hist[:-1]:
+                    np.copyto(channel, 0.0, where=empty)
+                rows = np.setdiff1d(rows, rows[::3])
+            lo, hi = sorted(rng.normal(size=2)) if monotone else (-np.inf, np.inf)
+            tasks.append(
+                _NodeTask(
+                    i, rows, rows.size, 0,
+                    float(grad[rows].sum()), float(hess[rows].sum()),
+                    lo, hi, hist,
+                )
+            )
+        mask_all = bool(mask.all())
+        got = grower._candidate_scores(tasks, mask, mask_all)
+        want = padded_scores(grower, tasks, mask, mask_all)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

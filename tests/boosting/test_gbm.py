@@ -137,6 +137,64 @@ class TestRegressor:
         X, y = regression_data
         with pytest.raises(ValueError, match="rows"):
             GBRegressor().fit(X, y[:-1])
+        with pytest.raises(ValueError, match="rows"):
+            GBRegressor().fit(X, y[:, None])  # a column, not a vector
+
+    def test_empty_eval_set_rejected(self, regression_data):
+        # An empty eval set used to give NaN losses that never improve,
+        # so early stopping silently cut the fit to its patience.
+        X, y = regression_data
+        model = GBRegressor(n_estimators=50, early_stopping_rounds=5)
+        with pytest.raises(ValueError, match="empty"):
+            model.fit(X, y, eval_set=(X[:0], y[:0]))
+
+    def test_eval_target_length_mismatch_rejected(self, regression_data):
+        # A length-1 target used to broadcast against every eval row.
+        X, y = regression_data
+        with pytest.raises(ValueError, match="rows"):
+            GBRegressor(n_estimators=5).fit(
+                X[:400], y[:400], eval_set=(X[400:450], y[400:401])
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_targets_rejected(self, regression_data, bad):
+        # Non-finite targets used to give NaN predictions, and a NaN in
+        # y_val NaN eval losses that stop the fit at its patience.
+        X, y = regression_data
+        y_bad = y.copy()
+        y_bad[[3, 403]] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GBRegressor(n_estimators=5).fit(X, y_bad)
+        with pytest.raises(ValueError, match="finite"):
+            GBRegressor(n_estimators=50, early_stopping_rounds=5).fit(
+                X[:400], y[:400], eval_set=(X[400:], y_bad[400:])
+            )
+
+    @pytest.mark.parametrize(
+        "make_val",
+        [
+            lambda X: X[400:450, :-1],  # one feature short
+            lambda X: X[400:450, 0],  # 1-D
+            lambda X: X[400:450][None],  # 3-D
+        ],
+    )
+    def test_eval_feature_shape_rejected(self, regression_data, make_val):
+        X, y = regression_data
+        with pytest.raises(ValueError, match="eval_set"):
+            GBRegressor(n_estimators=5).fit(
+                X[:400], y[:400], eval_set=(make_val(X), y[400:450])
+            )
+
+    def test_eval_set_validated_for_classifier(self, classification_data):
+        X, y = classification_data
+        with pytest.raises(ValueError, match="rows"):
+            GBClassifier(n_estimators=5).fit(
+                X[:400], y[:400], eval_set=(X[400:], y[400:401])
+            )
+        with pytest.raises(ValueError, match="binary"):
+            GBClassifier(n_estimators=5).fit(
+                X[:400], y[:400], eval_set=(X[400:], np.full(200, 2.0))
+            )
 
     def test_feature_importances_normalised(self, regression_data):
         X, y = regression_data

@@ -18,7 +18,7 @@ from repro.boosting.binning import BinMapper
 from repro.boosting.config import GBConfig
 from repro.boosting.gbm import GBClassifier, GBRegressor
 from repro.faults import faults_active
-from repro.parallel.hist import HistogramPool
+from repro.parallel.hist import FLAT_CELLS_MAX, HistogramPool
 
 
 def make_data(seed: int, n: int = 500, d: int = 9):
@@ -97,7 +97,7 @@ class TestBitwiseEquivalence:
 
     def test_process_pool_matches_serial(self):
         """Block workers assemble the same bits as in-process accumulation."""
-        X, y = make_data(7, n=1400)
+        X, y = make_data(7, n=60_000)
         mapper = BinMapper(max_bins=32).fit(X)
         binned = mapper.transform(X, order="F")
         rng = np.random.default_rng(0)
@@ -105,8 +105,9 @@ class TestBitwiseEquivalence:
         hess = np.abs(rng.normal(size=X.shape[0])) + 0.5
         mask = np.ones(X.shape[1], dtype=bool)
         mask[1] = False
-        rows_big = np.arange(0, X.shape[0], 2)  # > flat threshold
+        rows_big = np.arange(0, X.shape[0], 2)  # per-feature path
         rows_small = np.arange(1, 300, 2)  # flat path
+        assert rows_big.size * X.shape[1] > FLAT_CELLS_MAX
 
         results = {}
         for jobs in (1, 3):

@@ -7,8 +7,17 @@ stays fast while covering every code path.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# CI runs every property test on a pinned, derandomized example stream
+# (HYPOTHESIS_PROFILE=ci), so a red build replays on any machine; local
+# runs keep Hypothesis' default random exploration.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 from repro.cohort import ClinicConfig, CohortConfig, generate_cohort
 from repro.pipeline import build_dd_samples, build_kd_samples
