@@ -2,8 +2,12 @@
 
 The benchmarks operate on the *paper-scale* cohort (261 patients) and
 regenerate every table/figure of the evaluation section.  Each bench
-renders its artefact into ``results/<exp>.txt`` so a bench run leaves a
+renders its artefact into ``<results>/<exp>.txt`` so a bench run leaves a
 complete paper-vs-measured record behind (consumed by EXPERIMENTS.md).
+With ``REPRO_RECORD_RESULTS=1`` that directory is the committed
+``results/`` (the CI benchmarks job sets it and uploads the files);
+otherwise it is a per-session temporary directory, so running the test
+suite leaves the committed artefacts alone.
 
 Heavy experiment benches use ``benchmark.pedantic(..., rounds=1)``:
 the quantity of interest is the artefact and a single wall-clock
@@ -13,6 +17,7 @@ measurement, not statistical timing of a 30-second training grid.
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -30,7 +35,10 @@ def ctx():
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
+def results_dir(tmp_path_factory) -> Path:
+    """Where benches write artefacts: ``results/`` only when recording."""
+    if os.environ.get("REPRO_RECORD_RESULTS") != "1":
+        return tmp_path_factory.mktemp("results")
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.cohort.config import CohortConfig
 from repro.cohort.patients import PatientLatent
-from repro.frailty.deficits import DEFICIT_CATALOGUE
+from repro.frailty.deficits import DEFICIT_CATALOGUE, sample_deficits
 from repro.synth import SeedSequenceFactory
 
 __all__ = ["generate_visit_deficits"]
@@ -29,11 +29,13 @@ def generate_visit_deficits(
     cfg: CohortConfig,
     patient: PatientLatent,
     seeds: SeedSequenceFactory,
-) -> dict[str, np.ndarray]:
+) -> np.ndarray:
     """Deficit values for every visit month of one patient.
 
-    Returns ``{"visit_month": int64[v]} | {deficit_name: float64[v]}``
-    where ``v = len(cfg.visit_months)``.
+    Returns ``float64[37, v]`` with ``v = len(cfg.visit_months)``: row
+    ``i`` holds ``DEFICIT_CATALOGUE[i]`` at each visit.  All deficits
+    are drawn with one uniform draw from the patient's ``clinical``
+    stream, after the assessment noise.
     """
     rng = seeds.child(patient.patient_id).generator("clinical")
     visit_months = np.asarray(cfg.visit_months, dtype=np.int64)
@@ -43,7 +45,4 @@ def generate_visit_deficits(
         0.0,
         1.0,
     )
-    out: dict[str, np.ndarray] = {"visit_month": visit_months}
-    for deficit in DEFICIT_CATALOGUE:
-        out[deficit.name] = deficit.sample(observed_h, rng)
-    return out
+    return sample_deficits(DEFICIT_CATALOGUE, observed_h, rng)

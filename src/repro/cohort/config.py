@@ -1,10 +1,52 @@
-"""Configuration of the synthetic cohort generator."""
+"""Configuration of the synthetic cohort generator.
+
+Both configs validate every numeric field on construction, so a garbage
+value (NaN, an infinity, a float where a count belongs, a value outside
+the documented range) fails with a ``ValueError`` naming the field — also
+when the config comes from a ``config.json`` that :func:`json.loads`
+happily parses ``NaN`` out of.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 __all__ = ["ClinicConfig", "CohortConfig"]
+
+
+def _check_count(name: str, value, minimum: int | None = None) -> None:
+    """``value`` must be an integer (not a bool), ``>= minimum`` if given."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def _check_real(
+    name: str,
+    value,
+    low: float = -math.inf,
+    high: float = math.inf,
+    *,
+    low_open: bool = False,
+    high_open: bool = False,
+) -> None:
+    """``value`` must be a finite real inside ``[low, high]``.
+
+    ``low_open`` / ``high_open`` exclude the corresponding bound.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    above = value > low if low_open else value >= low
+    below = value < high if high_open else value <= high
+    if not (above and below):
+        lo = "(" if low_open else "["
+        hi = ")" if high_open else "]"
+        raise ValueError(f"{name} must be in {lo}{low}, {high}{hi}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -23,15 +65,17 @@ class ClinicConfig:
     name:
         Clinic identifier used in the tables.
     n_patients:
-        Cohort size for the clinic.
+        Cohort size for the clinic (integer >= 1).
     health_mean:
-        Mean latent intrinsic-health baseline (0..1 scale).
+        Mean latent intrinsic-health baseline, in (0, 1).
     health_spread:
-        SD of the patient baseline around ``health_mean``.
+        SD of the patient baseline around ``health_mean`` (finite, >= 0).
     protocol_noise:
-        Extra multiplicative observation noise for app/wearable streams.
+        Extra multiplicative observation noise for app/wearable streams
+        (finite, >= 0).
     missing_rate:
-        Stationary missing fraction for PRO series at this clinic.
+        Stationary missing fraction for PRO series at this clinic, in
+        [0, 1).
     """
 
     name: str
@@ -42,14 +86,13 @@ class ClinicConfig:
     missing_rate: float = 0.30
 
     def __post_init__(self):
-        if self.n_patients <= 0:
-            raise ValueError("n_patients must be positive")
-        if not 0.0 < self.health_mean < 1.0:
-            raise ValueError("health_mean must be in (0, 1)")
-        if self.health_spread < 0 or self.protocol_noise < 0:
-            raise ValueError("spread/noise parameters must be non-negative")
-        if not 0.0 <= self.missing_rate < 1.0:
-            raise ValueError("missing_rate must be in [0, 1)")
+        _check_count("n_patients", self.n_patients, 1)
+        _check_real(
+            "health_mean", self.health_mean, 0.0, 1.0, low_open=True, high_open=True
+        )
+        _check_real("health_spread", self.health_spread, 0.0)
+        _check_real("protocol_noise", self.protocol_noise, 0.0)
+        _check_real("missing_rate", self.missing_rate, 0.0, 1.0, high_open=True)
 
 
 def _default_clinics() -> tuple[ClinicConfig, ...]:
@@ -95,30 +138,37 @@ class CohortConfig:
     Attributes
     ----------
     seed:
-        Root seed; the entire cohort is a pure function of it.
+        Root seed (an integer); the entire cohort is a pure function of
+        it.
     clinics:
-        Per-clinic parameter blocks.
+        Per-clinic parameter blocks (at least one, unique names).
     n_months:
-        Study length in months (the paper uses 18).
+        Study length in months, a positive multiple of 9 (the paper uses
+        18).
     days_per_month:
-        Wearable days simulated per month (30 gives ~540 days).
+        Wearable days simulated per month (integer >= 1; 30 gives ~540
+        days).
     ageing_drift_per_month:
-        Mean monthly decline of latent health (ageing accentuated by
-        HIV, cf. [3]).
+        Mean monthly change of latent health, in [-1, 1]; negative
+        values model ageing decline (accentuated by HIV, cf. [3]).
     health_phi:
-        AR(1) persistence of the latent monthly health state.
+        AR(1) persistence of the latent monthly health state, in [0, 1).
     health_sigma:
-        AR(1) innovation SD of the latent monthly health state.
+        AR(1) innovation SD of the latent monthly health state (finite,
+        >= 0).
     domain_offset_sd:
-        SD of persistent per-patient, per-domain offsets; this is what
-        makes different patients weak in different IC domains.
+        SD of persistent per-patient, per-domain offsets (finite, >= 0);
+        this is what makes different patients weak in different IC
+        domains.
     domain_noise_sd:
-        Monthly fluctuation of each domain score around its mean path.
+        Monthly fluctuation of each domain score around its mean path
+        (finite, >= 0).
     mean_gap_length / max_gap_length:
-        Burst-missingness calibration (paper: mean 5, max 17).
+        Burst-missingness calibration (paper: mean 5, max 17): a finite
+        mean >= 1 and an integer cap >= 1.
     falls_base_rate:
-        Approximate marginal probability of a fall in a window
-        (paper Fig. 1c shows a strong False majority).
+        Approximate marginal probability of a fall in a window, in
+        (0, 1) (paper Fig. 1c shows a strong False majority).
     """
 
     seed: int = 0
@@ -135,24 +185,34 @@ class CohortConfig:
     falls_base_rate: float = 0.15
 
     def __post_init__(self):
-        if self.n_months < 2:
-            raise ValueError("n_months must cover at least one window")
+        _check_count("seed", self.seed)
+        _check_count("n_months", self.n_months, 9)
         if self.n_months % 9 != 0:
             raise ValueError(
                 "n_months must be a multiple of 9 to honour the paper's "
                 "visit schedule (visits every 9 months)"
             )
-        if self.days_per_month < 1:
-            raise ValueError("days_per_month must be positive")
+        _check_count("days_per_month", self.days_per_month, 1)
+        _check_real("ageing_drift_per_month", self.ageing_drift_per_month, -1.0, 1.0)
+        _check_real("health_phi", self.health_phi, 0.0, 1.0, high_open=True)
+        _check_real("health_sigma", self.health_sigma, 0.0)
+        _check_real("domain_offset_sd", self.domain_offset_sd, 0.0)
+        _check_real("domain_noise_sd", self.domain_noise_sd, 0.0)
+        _check_real("mean_gap_length", self.mean_gap_length, 1.0)
+        _check_count("max_gap_length", self.max_gap_length, 1)
+        _check_real(
+            "falls_base_rate",
+            self.falls_base_rate,
+            0.0,
+            1.0,
+            low_open=True,
+            high_open=True,
+        )
         if not self.clinics:
             raise ValueError("at least one clinic is required")
         names = [c.name for c in self.clinics]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate clinic names in {names}")
-        if not 0.0 < self.falls_base_rate < 1.0:
-            raise ValueError("falls_base_rate must be in (0, 1)")
-        if self.max_gap_length < 1:
-            raise ValueError("max_gap_length must be >= 1")
 
     @property
     def n_windows(self) -> int:

@@ -1,4 +1,11 @@
-"""Top-level cohort generation: compose all per-patient streams."""
+"""Top-level cohort generation: compose all per-patient streams.
+
+Every stream of a patient draws from its own named generator
+(``seeds.child(patient_id).generator(stream)``), so streams never
+perturb each other.  The PRO and visit streams come back as
+``(items, months)`` / ``(deficits, visits)`` blocks; each table column is
+one row of the patients' blocks laid side by side.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +14,11 @@ import numpy as np
 from repro.cohort.clinical import generate_visit_deficits
 from repro.cohort.config import CohortConfig
 from repro.cohort.dataset import CohortDataset
-from repro.cohort.missingness import apply_missingness
-from repro.cohort.outcomes import generate_outcomes
+from repro.cohort.missingness import missingness_mask
+from repro.cohort.outcomes import OUTCOME_NAMES, generate_outcomes
 from repro.cohort.patients import PatientLatent, generate_patients
-from repro.cohort.pro import generate_pro_answers
-from repro.cohort.schema import IC_DOMAINS, pro_item_names
+from repro.cohort.pro import clinic_item_bank, generate_pro_answers
+from repro.cohort.schema import IC_DOMAINS, PRO_ITEMS, pro_item_names
 from repro.cohort.wearable import generate_daily_trace
 from repro.frailty.deficits import deficit_names
 from repro.synth import SeedSequenceFactory
@@ -68,16 +75,19 @@ def _patients_table(patients: list[PatientLatent]) -> Table:
     )
 
 
+def _repeat_ids(patients: list[PatientLatent], n: int) -> np.ndarray:
+    """Each patient's id ``n`` times, patients in order."""
+    return np.repeat(np.array([p.patient_id for p in patients], dtype=object), n)
+
+
 def _daily_table(cfg, patients, clinics, seeds) -> Table:
-    ids: list[np.ndarray] = []
     parts: dict[str, list[np.ndarray]] = {}
     for p in patients:
         trace = generate_daily_trace(cfg, clinics[p.clinic], p, seeds)
-        n = len(trace["day"])
-        ids.append(np.array([p.patient_id] * n, dtype=object))
         for key, arr in trace.items():
             parts.setdefault(key, []).append(arr)
-    cols = [Column("patient_id", np.concatenate(ids), ColumnType.STRING)]
+    n_days = cfg.n_months * cfg.days_per_month
+    cols = [Column("patient_id", _repeat_ids(patients, n_days), ColumnType.STRING)]
     for key in ("day", "month"):
         cols.append(Column(key, np.concatenate(parts[key]), ColumnType.INT))
     for key in ("steps", "calories", "sleep_hours"):
@@ -86,71 +96,57 @@ def _daily_table(cfg, patients, clinics, seeds) -> Table:
 
 
 def _pro_table(cfg, patients, clinics, seeds) -> Table:
-    ids: list[np.ndarray] = []
-    parts: dict[str, list[np.ndarray]] = {}
-    for p in patients:
-        answers = generate_pro_answers(cfg, clinics[p.clinic], p, seeds)
-        answers = apply_missingness(
-            cfg, clinics[p.clinic], p.patient_id, answers, seeds
-        )
-        n = len(answers["month"])
-        ids.append(np.array([p.patient_id] * n, dtype=object))
-        for key, arr in answers.items():
-            parts.setdefault(key, []).append(arr)
+    banks = {name: clinic_item_bank(clinic) for name, clinic in clinics.items()}
+    # One row per item, each patient's months side by side.
+    items = np.empty((len(PRO_ITEMS), len(patients), cfg.n_months))
+    for i, p in enumerate(patients):
+        items[:, i] = generate_pro_answers(cfg, banks[p.clinic], p, seeds)
+    missing = missingness_mask(
+        cfg,
+        [clinics[p.clinic] for p in patients],
+        [p.patient_id for p in patients],
+        seeds,
+    )
+    items[missing.transpose(1, 0, 2)] = np.nan
+    months = np.arange(1, cfg.n_months + 1, dtype=np.int64)
     cols = [
-        Column("patient_id", np.concatenate(ids), ColumnType.STRING),
-        Column("month", np.concatenate(parts["month"]), ColumnType.INT),
+        Column("patient_id", _repeat_ids(patients, cfg.n_months), ColumnType.STRING),
+        Column("month", np.tile(months, len(patients)), ColumnType.INT),
     ]
-    for name in pro_item_names():
-        cols.append(Column(name, np.concatenate(parts[name]), ColumnType.FLOAT))
+    for name, values in zip(pro_item_names(), items.reshape(len(PRO_ITEMS), -1)):
+        cols.append(Column(name, values, ColumnType.FLOAT))
     return Table(cols)
 
 
 def _visits_table(cfg, patients, seeds) -> Table:
-    ids: list[np.ndarray] = []
-    parts: dict[str, list[np.ndarray]] = {}
-    outcome_parts: dict[str, list[np.ndarray]] = {}
-    for p in patients:
-        deficits = generate_visit_deficits(cfg, p, seeds)
+    visit_months = np.asarray(cfg.visit_months, dtype=np.int64)
+    n_visits = len(visit_months)
+    blocks = []
+    # Outcomes sit at window-closing visits; month 0 has none (NaN).
+    outcome_block = np.full((len(OUTCOME_NAMES), len(patients), n_visits), np.nan)
+    for i, p in enumerate(patients):
+        blocks.append(generate_visit_deficits(cfg, p, seeds))
         outcomes = generate_outcomes(cfg, p, seeds)
-        n_visits = len(deficits["visit_month"])
-        ids.append(np.array([p.patient_id] * n_visits, dtype=object))
-        for key, arr in deficits.items():
-            parts.setdefault(key, []).append(arr)
-
-        # Align outcomes to visit months: month 0 has no outcome (NaN).
-        qol = np.full(n_visits, np.nan)
-        sppb = np.full(n_visits, np.nan)
-        falls = np.full(n_visits, np.nan)
-        visit_months = deficits["visit_month"]
-        for w_idx, vm in enumerate(outcomes["visit_month"]):
-            pos = int(np.flatnonzero(visit_months == vm)[0])
-            qol[pos] = outcomes["qol"][w_idx]
-            sppb[pos] = float(outcomes["sppb"][w_idx])
-            falls[pos] = float(outcomes["falls"][w_idx])
-        outcome_parts.setdefault("qol", []).append(qol)
-        outcome_parts.setdefault("sppb", []).append(sppb)
-        outcome_parts.setdefault("falls", []).append(falls)
-
+        pos = np.searchsorted(visit_months, outcomes["visit_month"])
+        for row, name in enumerate(OUTCOME_NAMES):
+            outcome_block[row, i, pos] = outcomes[name]
+    deficits = np.concatenate(blocks, axis=1)
     cols = [
-        Column("patient_id", np.concatenate(ids), ColumnType.STRING),
-        Column("visit_month", np.concatenate(parts["visit_month"]), ColumnType.INT),
+        Column("patient_id", _repeat_ids(patients, n_visits), ColumnType.STRING),
+        Column("visit_month", np.tile(visit_months, len(patients)), ColumnType.INT),
     ]
-    for name in deficit_names():
-        cols.append(Column(name, np.concatenate(parts[name]), ColumnType.FLOAT))
-    for name in ("qol", "sppb", "falls"):
-        cols.append(Column(name, np.concatenate(outcome_parts[name]), ColumnType.FLOAT))
+    for name, values in zip(deficit_names(), deficits):
+        cols.append(Column(name, values, ColumnType.FLOAT))
+    for name, values in zip(OUTCOME_NAMES, outcome_block):
+        cols.append(Column(name, values.ravel(), ColumnType.FLOAT))
     return Table(cols)
 
 
 def _latent_table(cfg, patients) -> Table:
     n_points = cfg.n_months + 1
     months = np.tile(np.arange(n_points, dtype=np.int64), len(patients))
-    ids = np.concatenate(
-        [np.array([p.patient_id] * n_points, dtype=object) for p in patients]
-    )
     cols = [
-        Column("patient_id", ids, ColumnType.STRING),
+        Column("patient_id", _repeat_ids(patients, n_points), ColumnType.STRING),
         Column("month", months, ColumnType.INT),
         Column(
             "health",

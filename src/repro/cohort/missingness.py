@@ -9,17 +9,27 @@ the app for a stretch, blanking every item simultaneously — that is what
 makes the per-patient gap count scale with the number of items (56 items
 x ~2 bursts ~ 108 gaps).  A small item-level dropout is layered on top
 (single questions skipped within an otherwise completed month).
+
+Both layers are drawn from each patient's ``missingness`` stream: first
+the patient-level chain (nothing is drawn when the clinic's rate is zero),
+then one chain per item in bank order — the uniforms that successive
+:func:`~repro.synth.burst_gap_mask` calls would consume.  The uniforms of
+every patient are gathered into one buffer and stepped together by
+:func:`~repro.synth.burst_chains`; the generator blanks the answers with
+one NaN put through the resulting mask.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.cohort.config import ClinicConfig, CohortConfig
-from repro.cohort.schema import pro_item_names
-from repro.synth import SeedSequenceFactory, burst_gap_mask
+from repro.cohort.schema import PRO_ITEMS
+from repro.synth import SeedSequenceFactory, burst_chains
 
-__all__ = ["apply_missingness"]
+__all__ = ["missingness_mask"]
 
 #: Stationary rate / mean burst length of item-level (question skipped)
 #: dropout, on top of the patient-level app-abandonment bursts.
@@ -27,49 +37,45 @@ _ITEM_DROPOUT_RATE = 0.05
 _ITEM_DROPOUT_MEAN_LEN = 1.3
 
 
-def apply_missingness(
+def missingness_mask(
     cfg: CohortConfig,
-    clinic: ClinicConfig,
-    patient_id: str,
-    pro_columns: dict[str, np.ndarray],
+    clinics: Sequence[ClinicConfig],
+    patient_ids: Sequence[str],
     seeds: SeedSequenceFactory,
-) -> dict[str, np.ndarray]:
-    """Blank PRO answers with the two-layer burst process.
+) -> np.ndarray:
+    """Which PRO answers go missing under the two-layer burst process.
 
     Parameters
     ----------
-    pro_columns:
-        Output of :func:`repro.cohort.pro.generate_pro_answers`; the
-        ``month`` column is untouched, item columns get NaN holes.
+    clinics / patient_ids:
+        The clinic and id of each patient.
 
     Returns
     -------
-    dict
-        Same keys, with missing answers replaced by NaN.  Input arrays
-        are not mutated.
+    numpy.ndarray
+        ``bool[n_patients, n_items, n_months]``, True where the answer
+        is missing; laid out like the answer blocks of
+        :func:`repro.cohort.pro.generate_pro_answers`.
     """
-    rng = seeds.child(patient_id).generator("missingness")
-    n = len(pro_columns["month"])
-
-    patient_mask = burst_gap_mask(
-        rng,
-        n_steps=n,
-        missing_rate=clinic.missing_rate,
-        mean_gap_length=cfg.mean_gap_length,
-        max_gap_length=cfg.max_gap_length,
-    )
-
-    out: dict[str, np.ndarray] = {"month": pro_columns["month"]}
-    for name in pro_item_names():
-        item_mask = burst_gap_mask(
-            rng,
-            n_steps=n,
-            missing_rate=_ITEM_DROPOUT_RATE,
-            mean_gap_length=_ITEM_DROPOUT_MEAN_LEN,
-            max_gap_length=cfg.max_gap_length,
-        )
-        mask = patient_mask | item_mask
-        values = pro_columns[name].astype(np.float64).copy()
-        values[mask] = np.nan
-        out[name] = values
-    return out
+    if len(clinics) != len(patient_ids):
+        raise ValueError("need one clinic per patient id")
+    n_patients, n_items, n = len(patient_ids), len(PRO_ITEMS), cfg.n_months
+    # Series 0 of each patient is the patient-level chain, 1.. the items.
+    rates = np.full((n_patients, 1 + n_items), _ITEM_DROPOUT_RATE)
+    rates[:, 0] = [clinic.missing_rate for clinic in clinics]
+    mean_len = np.full((n_patients, 1 + n_items), _ITEM_DROPOUT_MEAN_LEN)
+    mean_len[:, 0] = cfg.mean_gap_length
+    # Undrawn rows stay 0.0; their zero rate keeps them observed.
+    draws = np.zeros((n_patients, 1 + n_items, n + 1))
+    for block, rate, pid in zip(draws, rates[:, 0], patient_ids):
+        rng = seeds.child(pid).generator("missingness")
+        if rate > 0.0:
+            block[0] = rng.random(n + 1)
+        block[1:] = rng.random((n_items, n + 1))
+    chains = burst_chains(
+        draws.reshape(-1, n + 1),
+        rates.ravel(),
+        mean_len.ravel(),
+        cfg.max_gap_length,
+    ).reshape(n_patients, 1 + n_items, n)
+    return chains[:, :1] | chains[:, 1:]

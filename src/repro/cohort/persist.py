@@ -1,8 +1,8 @@
 """Persist a generated cohort to disk (CSV tables + JSON config).
 
-A cohort is a pure function of its config, but regenerating the paper-
-scale dataset takes a couple of seconds and downstream consumers (R
-users, spreadsheet-level clinicians) want files.  ``save_cohort`` writes
+A cohort is a pure function of its config, and the paper-scale dataset
+regenerates in well under a second; but downstream consumers (R users,
+spreadsheet-level clinicians) want files.  ``save_cohort`` writes
 one CSV per table plus the generating configuration; ``load_cohort``
 restores an identical :class:`CohortDataset` (verified by table equality
 in the tests).
@@ -75,6 +75,9 @@ def load_cohort(directory: str | Path) -> CohortDataset:
     ------
     FileNotFoundError
         If any expected file is missing.
+    ValueError
+        If ``config.json`` holds an invalid value (e.g. a ``NaN``, which
+        :func:`json.loads` accepts); the message names the field.
     """
     directory = Path(directory)
     config_path = directory / "config.json"

@@ -15,10 +15,11 @@ Searle procedure allows).  A deficit value is always in [0, 1], so the FI
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Deficit", "DEFICIT_CATALOGUE", "deficit_names"]
+__all__ = ["Deficit", "DEFICIT_CATALOGUE", "deficit_names", "sample_deficits"]
 
 #: Deficit categories with the paper's counts.
 CATEGORY_COUNTS = {"blood": 27, "body_composition": 3, "hiv_pro": 7}
@@ -71,15 +72,31 @@ class Deficit:
         Binary deficits return {0, 1}; graded ones {0, 0.5, 1} with the
         half step representing sub-clinical expression.
         """
-        p = self.expression_probability(latent_health)
-        if not self.graded:
-            return (rng.random(p.shape) < p).astype(np.float64)
-        # Graded: split the expression probability between partial (2/3 of
-        # the mass) and full (1/3) so means stay comparable to binary.
-        u = rng.random(p.shape)
-        full = u < p / 3.0
-        partial = (~full) & (u < p)
-        return np.where(full, 1.0, np.where(partial, 0.5, 0.0))
+        return sample_deficits((self,), latent_health, rng)[0, ...]
+
+
+def sample_deficits(
+    deficits: Sequence[Deficit], latent_health, rng: np.random.Generator
+) -> np.ndarray:
+    """Values of every deficit at the same latent health values.
+
+    Returns ``float64[len(deficits), *shape]``.  One ``rng.random`` call
+    draws all uniforms in C order (deficit 0 first), exactly those that
+    successive :meth:`Deficit.sample` calls would consume.  A deficit is
+    expressed when its uniform falls below the expression probability;
+    a graded deficit splits that mass between full (the lower third,
+    value 1) and partial (value 0.5) expression, so means stay
+    comparable to binary deficits.
+    """
+    h = np.asarray(latent_health, dtype=np.float64)
+    per_deficit = (len(deficits),) + (1,) * h.ndim
+    base_rate = np.array([d.base_rate for d in deficits]).reshape(per_deficit)
+    sensitivity = np.array([d.sensitivity for d in deficits]).reshape(per_deficit)
+    graded = np.array([d.graded for d in deficits], dtype=bool).reshape(per_deficit)
+    p = np.clip(base_rate + sensitivity * (1.0 - h), 0.0, 1.0)
+    u = rng.random(p.shape)
+    partial = graded & (u >= p / 3.0)
+    return np.where(u < p, np.where(partial, 0.5, 1.0), 0.0)
 
 
 def _build_catalogue() -> tuple[Deficit, ...]:

@@ -10,17 +10,25 @@ primitives that the generator composes:
     an independent, reproducible RNG.
 ``ar1_process``
     Mean-reverting AR(1) paths used for latent intrinsic-health states.
-``OrdinalLink``
+``OrdinalLink`` / ``OrdinalBank``
     Monotone mapping from a continuous latent score to ordinal categories,
-    used for PRO questionnaire answers.
+    used for PRO questionnaire answers; a bank stacks many links so one
+    draw answers them all.
 ``weekly_profile``
     Day-of-week seasonality for wearable traces.
-``burst_gap_mask``
-    Bursty missing-data process calibrated to the paper's gap statistics.
+``burst_gap_mask`` / ``burst_gap_masks`` / ``burst_chains``
+    Bursty missing-data process calibrated to the paper's gap statistics,
+    for one series or many at once (``burst_chains`` steps chains from
+    uniforms already drawn).
 """
 
-from repro.synth.gaps import burst_gap_mask, gap_lengths
-from repro.synth.ordinal import OrdinalLink
+from repro.synth.gaps import (
+    burst_chains,
+    burst_gap_mask,
+    burst_gap_masks,
+    gap_lengths,
+)
+from repro.synth.ordinal import OrdinalBank, OrdinalLink
 from repro.synth.processes import ar1_process, clipped_noise, weekly_profile
 from repro.synth.seeding import SeedSequenceFactory
 
@@ -30,6 +38,9 @@ __all__ = [
     "clipped_noise",
     "weekly_profile",
     "OrdinalLink",
+    "OrdinalBank",
     "burst_gap_mask",
+    "burst_gap_masks",
+    "burst_chains",
     "gap_lengths",
 ]

@@ -6,13 +6,23 @@ missing points, max 17; ~108 gaps per patient on average across all
 series, max 284).  A two-state (observed / missing) Markov chain produces
 exactly this burst structure; the transition probabilities are derived
 from the target mean gap length and overall missing rate.
+
+:func:`burst_gap_masks` runs many independent chains with shared
+parameters at once: one ``rng.random((n_series, n_steps + 1))`` draw (per
+series, the initial-state uniform followed by one uniform per step),
+then :func:`burst_chains` steps every series together, one time step per
+loop iteration.  Row ``i`` consumes the generator exactly as the ``i``-th
+of ``n_series`` successive :func:`burst_gap_mask` calls would, so the
+masks are bit-identical; :func:`burst_gap_mask` is the one-series case.
+:func:`burst_chains` also takes per-series parameters, so a caller can
+gather the uniforms of many generators and step them in one pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["burst_gap_mask", "gap_lengths"]
+__all__ = ["burst_chains", "burst_gap_mask", "burst_gap_masks", "gap_lengths"]
 
 
 def burst_gap_mask(
@@ -46,36 +56,86 @@ def burst_gap_mask(
     the stationary missing probability is
     ``p_enter / (p_enter + p_exit)``; both targets pin down the chain.
     """
-    if not 0.0 <= missing_rate < 1.0:
-        raise ValueError("missing_rate must be in [0, 1)")
-    if mean_gap_length < 1.0:
-        raise ValueError("mean_gap_length must be >= 1")
-    if n_steps < 0:
-        raise ValueError("n_steps must be non-negative")
-    mask = np.zeros(n_steps, dtype=bool)
-    if missing_rate == 0.0 or n_steps == 0:
-        return mask
+    return burst_gap_masks(
+        rng, 1, n_steps, missing_rate, mean_gap_length, max_gap_length
+    )[0]
 
-    p_exit = 1.0 / mean_gap_length
-    p_enter = missing_rate * p_exit / (1.0 - missing_rate)
-    p_enter = min(p_enter, 1.0)
 
-    missing = rng.random() < missing_rate
-    run = 0
-    draws = rng.random(n_steps)
+def burst_gap_masks(
+    rng: np.random.Generator,
+    n_series: int,
+    n_steps: int,
+    missing_rate: float,
+    mean_gap_length: float,
+    max_gap_length: int | None = None,
+) -> np.ndarray:
+    """``bool[n_series, n_steps]`` masks of independent burst chains.
+
+    Parameters are those of :func:`burst_gap_mask`, shared by every
+    series.  A zero ``missing_rate``, zero steps or zero series draws
+    nothing from ``rng``.
+    """
+    if n_steps < 0 or n_series < 0:
+        raise ValueError("n_steps and n_series must be non-negative")
+    _check_chain_parameters(missing_rate, mean_gap_length, max_gap_length)
+    if missing_rate == 0.0 or n_steps == 0 or n_series == 0:
+        return np.zeros((n_series, n_steps), dtype=bool)
+    draws = rng.random((n_series, n_steps + 1))
+    return burst_chains(draws, missing_rate, mean_gap_length, max_gap_length)
+
+
+def burst_chains(
+    draws: np.ndarray,
+    missing_rate,
+    mean_gap_length,
+    max_gap_length: int | None = None,
+) -> np.ndarray:
+    """Step burst chains from their uniforms: ``bool[n_series, n_steps]``.
+
+    ``draws`` is ``float64[n_series, n_steps + 1]``: per series, the
+    uniform that picks the initial state, then one uniform per step.
+    ``missing_rate`` and ``mean_gap_length`` are scalars or one value
+    per series, so chains with different parameters (and whose uniforms
+    came from different generators) step together.  A series with a zero
+    rate never goes missing, whatever its uniforms.
+    """
+    draws = np.asarray(draws, dtype=np.float64)
+    if draws.ndim != 2 or draws.shape[1] < 1:
+        raise ValueError("draws must have shape (n_series, n_steps + 1)")
+    n_series, n_steps = draws.shape[0], draws.shape[1] - 1
+    rate = np.broadcast_to(np.asarray(missing_rate, dtype=np.float64), (n_series,))
+    mean_len = np.broadcast_to(
+        np.asarray(mean_gap_length, dtype=np.float64), (n_series,)
+    )
+    _check_chain_parameters(rate, mean_len, max_gap_length)
+    p_exit = 1.0 / mean_len
+    p_enter = np.minimum(rate * p_exit / (1.0 - rate), 1.0)
+
+    steps = draws.T
+    mask = np.empty((n_steps, n_series), dtype=bool)
+    missing = steps[0] < rate
+    run = np.zeros(n_series, dtype=np.int64)
     for t in range(n_steps):
-        if missing and max_gap_length is not None and run >= max_gap_length:
-            missing = False  # forced recovery step: hard cap on run length
-        if missing:
-            mask[t] = True
+        if max_gap_length is not None:
+            # Forced recovery step: hard cap on run length.
+            missing &= run < max_gap_length
             run += 1
-            if draws[t] < p_exit:
-                missing = False
-        else:
-            run = 0
-            if draws[t] < p_enter:
-                missing = True
-    return mask
+            run *= missing
+        mask[t] = missing
+        # A series switches state when its uniform falls below the
+        # exit (missing) or entry (observed) probability.
+        missing ^= steps[t + 1] < np.where(missing, p_exit, p_enter)
+    return np.ascontiguousarray(mask.T)
+
+
+def _check_chain_parameters(missing_rate, mean_gap_length, max_gap_length) -> None:
+    rate = np.asarray(missing_rate)
+    if not np.all((rate >= 0.0) & (rate < 1.0)):
+        raise ValueError("missing_rate must be in [0, 1)")
+    if not np.all(np.asarray(mean_gap_length) >= 1.0):
+        raise ValueError("mean_gap_length must be >= 1")
+    if max_gap_length is not None and max_gap_length < 1:
+        raise ValueError("max_gap_length must be >= 1")
 
 
 def gap_lengths(mask: np.ndarray) -> np.ndarray:

@@ -6,13 +6,22 @@ an ordinal discretisation of a latent domain score through item-specific
 thresholds; some items are *reversed* (high answer = worse health) and
 some are nearly uninformative — this heterogeneity is what makes per-
 patient Shapley rankings differ (paper Fig. 6).
+
+:class:`OrdinalBank` stacks many links into read-only arrays so that a
+whole questionnaire is answered with one normal draw and one vectorised
+discretisation.  The draw consumes the generator exactly as one
+:meth:`OrdinalLink.sample` call per item in bank order would, so batched
+and per-item answers are bit-identical; :meth:`OrdinalLink.sample` is the
+one-item case of the bank.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-__all__ = ["OrdinalLink"]
+__all__ = ["OrdinalLink", "OrdinalBank"]
 
 
 class OrdinalLink:
@@ -83,14 +92,11 @@ class OrdinalLink:
     def sample(self, latent: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw ordinal answers for latent scores ``latent``.
 
-        Returns integer answers in ``1..n_levels`` (int64 array).
+        Returns integer answers in ``1..n_levels`` (int64 array).  Raises
+        ``ValueError`` (before drawing) if any latent score is NaN.
         """
         latent = np.asarray(latent, dtype=np.float64)
-        noisy = latent + rng.normal(0.0, self.noise_sd, size=latent.shape)
-        answers = np.searchsorted(self.thresholds, np.clip(noisy, 0.0, 1.0)) + 1
-        if self.reversed_scale:
-            answers = self.n_levels + 1 - answers
-        return answers.astype(np.int64)
+        return OrdinalBank([self]).sample(latent[None], rng)[0, ...]
 
     def expected_answer(self, latent: float) -> int:
         """Noise-free answer for a latent score (useful in tests)."""
@@ -98,3 +104,69 @@ class OrdinalLink:
         if self.reversed_scale:
             answer = self.n_levels + 1 - answer
         return answer
+
+
+class OrdinalBank:
+    """Read-only stacked parameters of ``k`` ordinal links.
+
+    Attributes
+    ----------
+    thresholds:
+        ``float64[k, w]``: each link's cut points, right-padded with
+        ``+inf`` to the widest link (``w = max(n_levels) - 1``).
+    noise_sd:
+        ``float64[k]`` latent noise SD per link.
+    n_levels:
+        ``int64[k]`` answer categories per link.
+    reversed_scale:
+        ``bool[k]``: links whose answer order is flipped.
+
+    All four arrays are write-protected, so one bank can be shared by
+    every patient of a cohort.
+    """
+
+    __slots__ = ("thresholds", "noise_sd", "n_levels", "reversed_scale")
+
+    def __init__(self, links: Iterable[OrdinalLink]):
+        links = list(links)
+        if not links:
+            raise ValueError("an ordinal bank needs at least one link")
+        width = max(link.n_levels for link in links) - 1
+        thresholds = np.full((len(links), width), np.inf)
+        for row, link in zip(thresholds, links):
+            row[: link.n_levels - 1] = link.thresholds
+        self.thresholds = thresholds
+        self.noise_sd = np.array([link.noise_sd for link in links])
+        self.n_levels = np.array([link.n_levels for link in links], dtype=np.int64)
+        self.reversed_scale = np.array([link.reversed_scale for link in links])
+        for arr in (self.thresholds, self.noise_sd, self.n_levels, self.reversed_scale):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.noise_sd)
+
+    def sample(self, latent: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Answers of every link: ``latent[i]`` feeds link ``i``.
+
+        ``latent`` has shape ``(k, ...)``; the result is ``int64`` of the
+        same shape.  One ``rng.normal`` call draws the noise of all links
+        in C order (link 0 first), exactly the standard normals that
+        ``k`` successive per-link calls would consume, and scales each by
+        its link's SD elementwise as those calls do.  The answer is one
+        plus the number of cut points strictly below the clipped noisy
+        score, which is ``searchsorted(side="left")`` for a non-NaN
+        score; NaN scores are rejected before anything is drawn.
+        """
+        latent = np.asarray(latent, dtype=np.float64)
+        k = len(self)
+        if latent.ndim == 0 or latent.shape[0] != k:
+            raise ValueError(f"latent must have shape ({k}, ...), got {latent.shape}")
+        if np.isnan(latent).any():
+            raise ValueError("latent scores must not be NaN")
+        per_link = (k,) + (1,) * (latent.ndim - 1)
+        noisy = latent + rng.normal(0.0, self.noise_sd.reshape(per_link), latent.shape)
+        score = np.clip(noisy, 0.0, 1.0)[..., None]
+        cuts = self.thresholds.reshape(per_link + (-1,))
+        answers = np.count_nonzero(cuts < score, axis=-1) + 1
+        flipped = self.n_levels.reshape(per_link) + 1 - answers
+        return np.where(self.reversed_scale.reshape(per_link), flipped, answers)

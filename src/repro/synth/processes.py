@@ -52,19 +52,18 @@ def ar1_process(
         raise ValueError("phi must be in [0, 1) for a mean-reverting AR(1)")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    means = mean + drift * np.arange(n_steps)
-    x = np.empty(n_steps, dtype=np.float64)
+    means = (mean + drift * np.arange(n_steps)).tolist()
     if start is None:
         stationary_sd = sigma / np.sqrt(1.0 - phi**2) if sigma > 0 else 0.0
         start = float(rng.normal(mean, stationary_sd))
-    x[0] = means[0] + phi * (start - mean) + sigma * rng.standard_normal()
+    # One draw of all innovations: the same standard normals, in the same
+    # order, as one scalar draw per step.  The recursion itself stays a
+    # scalar loop so every step rounds exactly as it always has.
+    eps = rng.standard_normal(n_steps).tolist()
+    x = [means[0] + phi * (start - mean) + sigma * eps[0]]
     for t in range(1, n_steps):
-        x[t] = (
-            means[t]
-            + phi * (x[t - 1] - means[t - 1])
-            + sigma * rng.standard_normal()
-        )
-    return x
+        x.append(means[t] + phi * (x[t - 1] - means[t - 1]) + sigma * eps[t])
+    return np.array(x, dtype=np.float64)
 
 
 def clipped_noise(

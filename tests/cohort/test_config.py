@@ -1,5 +1,6 @@
 """Unit tests for repro.cohort.config."""
 
+import numpy as np
 import pytest
 
 from repro.cohort import ClinicConfig, CohortConfig
@@ -73,3 +74,68 @@ class TestCohortConfig:
         cfg = CohortConfig(n_months=27)
         assert cfg.n_windows == 3
         assert cfg.visit_months == (0, 9, 18, 27)
+
+
+# Every numeric field rejects NaN, infinities and out-of-range values with
+# a ValueError that names the field (configs also arrive from JSON, which
+# parses NaN).
+_NAN, _INF = float("nan"), float("inf")
+
+CLINIC_BAD_VALUES = {
+    "n_patients": [0, -3, 2.5, _NAN, True],
+    "health_mean": [_NAN, _INF, 0.0, 1.0, -0.2],
+    "health_spread": [_NAN, _INF, -0.1],
+    "protocol_noise": [_NAN, _INF, -_INF, -0.01],
+    "missing_rate": [_NAN, _INF, 1.0, -0.1],
+}
+
+COHORT_BAD_VALUES = {
+    "seed": [1.5, _NAN, "7", False],
+    "n_months": [0, 9.0, _NAN, 12],
+    "days_per_month": [0, 30.0, _NAN],
+    "ageing_drift_per_month": [_NAN, _INF, -1.5, 2.0],
+    "health_phi": [_NAN, _INF, 1.0, -0.1],
+    "health_sigma": [_NAN, _INF, -0.01],
+    "domain_offset_sd": [_NAN, _INF, -0.1],
+    "domain_noise_sd": [_NAN, _INF, -0.1],
+    "mean_gap_length": [_NAN, _INF, 0.5],
+    "max_gap_length": [0, 17.0, _NAN],
+    "falls_base_rate": [_NAN, _INF, 0.0, 1.0],
+}
+
+
+class TestClinicFieldValidation:
+    @pytest.mark.parametrize("field", sorted(CLINIC_BAD_VALUES))
+    def test_field_rejects_garbage(self, field):
+        for value in CLINIC_BAD_VALUES[field]:
+            with pytest.raises(ValueError, match=field):
+                ClinicConfig("x", **{"n_patients": 10, field: value})
+
+    def test_boundary_values_accepted(self):
+        ClinicConfig("x", 1, health_spread=0.0, protocol_noise=0.0, missing_rate=0.0)
+
+
+class TestCohortFieldValidation:
+    @pytest.mark.parametrize("field", sorted(COHORT_BAD_VALUES))
+    def test_field_rejects_garbage(self, field):
+        for value in COHORT_BAD_VALUES[field]:
+            with pytest.raises(ValueError, match=field):
+                CohortConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        CohortConfig(
+            seed=-4,
+            n_months=9,
+            days_per_month=1,
+            ageing_drift_per_month=0.0,
+            health_phi=0.0,
+            health_sigma=0.0,
+            domain_offset_sd=0.0,
+            domain_noise_sd=0.0,
+            mean_gap_length=1.0,
+            max_gap_length=1,
+        )
+
+    def test_numpy_scalars_accepted(self):
+        cfg = CohortConfig(seed=np.int64(3), health_phi=np.float64(0.5))
+        assert cfg.health_phi == 0.5

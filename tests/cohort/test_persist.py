@@ -1,5 +1,7 @@
 """Round-trip tests for cohort persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -61,4 +63,28 @@ class TestErrors:
         save_cohort(small_cohort, tmp_path)
         (tmp_path / "visits.csv").unlink()
         with pytest.raises(FileNotFoundError, match="visits"):
+            load_cohort(tmp_path)
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("mean_gap_length",), "mean_gap_length"),
+            (("clinics", 2, "protocol_noise"), "protocol_noise"),
+            (("domain_noise_sd",), "domain_noise_sd"),
+        ],
+    )
+    def test_nan_in_config_rejected(self, small_cohort, tmp_path, path, field):
+        # json.loads parses a bare NaN; the config must refuse it by name
+        # instead of generating a cohort from it (or failing deep inside).
+        save_cohort(small_cohort, tmp_path)
+        config_path = tmp_path / "config.json"
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = float("nan")
+        text = json.dumps(doc)
+        assert "NaN" in text
+        config_path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=field):
             load_cohort(tmp_path)
