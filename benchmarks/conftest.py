@@ -89,7 +89,6 @@ def record_bench(
     model_nodes: int | None = None,
     model_bytes: int | None = None,
     compression_ratio: float | None = None,
-    hist_seconds: float | None = None,
 ) -> None:
     """Update one machine-readable entry in ``results/bench.json``.
 
@@ -103,9 +102,6 @@ def record_bench(
     the footprint next to the timing: ``model_nodes`` (source ensemble
     nodes), ``model_bytes`` (in-memory table bytes) and
     ``compression_ratio`` (source nodes per hash-consed DAG row).
-    Fit benches stamp ``hist_seconds`` — wall time spent inside
-    histogram accumulation — so the histogram share of fit time is
-    tracked across PRs.
     """
     path = results_dir / "bench.json"
     entries: dict = {}
@@ -133,8 +129,6 @@ def record_bench(
         entry["model_bytes"] = int(model_bytes)
     if compression_ratio is not None:
         entry["compression_ratio"] = round(float(compression_ratio), 3)
-    if hist_seconds is not None:
-        entry["hist_seconds"] = round(float(hist_seconds), 4)
     entries[name] = entry
     path.write_text(
         json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8"

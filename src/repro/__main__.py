@@ -101,10 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for the experiment grid and for the "
-        "intra-fit histogram pool (default: the REPRO_JOBS environment "
-        "variable, else serial; 0 or -1 = one per CPU).  Results are "
-        "identical on every backend.",
+        help="worker processes for the experiment grid (default: the "
+        "REPRO_JOBS environment variable, else serial; 0 or -1 = one per "
+        "CPU).  Results are identical on every backend.",
     )
     return parser
 
@@ -129,10 +128,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot create --out {args.out}: {exc}", file=sys.stderr)
             return 2
     if args.jobs is not None:
-        # Propagate to resolve_jobs() consumers beyond the grid — the
-        # intra-fit HistogramPool reads REPRO_JOBS when GBConfig.n_jobs
-        # is unset.  Grid workers still fit serially: resolve_jobs()
-        # returns 1 inside pool workers (nested-pool suppression).
+        # Propagate to resolve_jobs() consumers that take no n_jobs from
+        # the context — ablation_models calls run_protocol without one.
+        # Grid workers still fit serially: resolve_jobs() returns 1
+        # inside pool workers (nested-pool suppression).
         os.environ["REPRO_JOBS"] = str(args.jobs)
     ctx = ExperimentContext(
         seed=args.seed,

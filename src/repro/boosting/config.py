@@ -50,14 +50,6 @@ class GBConfig:
         to be non-decreasing in the feature, -1 non-increasing, 0 free.
         Clinically useful when domain knowledge fixes a direction (e.g.
         QoL cannot decrease as a mobility answer improves).
-    n_jobs:
-        Worker count for the intra-fit histogram pool
-        (:class:`repro.parallel.hist.HistogramPool`).  ``None`` defers
-        to the ``REPRO_JOBS`` environment variable (serial when unset),
-        ``-1`` means all cores, ``1`` forces the serial path.  This is
-        *execution* configuration, not model identity: any value yields
-        bitwise-identical trees, so it is stripped from serialized
-        model documents and never enters fingerprints.
     """
 
     n_estimators: int = 300
@@ -73,7 +65,6 @@ class GBConfig:
     random_state: int = 0
     scale_pos_weight: float = 1.0
     monotone_constraints: tuple[int, ...] | None = None
-    n_jobs: int | None = None
 
     def __post_init__(self):
         if self.n_estimators < 1:
@@ -104,5 +95,3 @@ class GBConfig:
                 raise ValueError(
                     f"monotone_constraints entries must be -1/0/+1, got {bad}"
                 )
-        if self.n_jobs is not None and (self.n_jobs == 0 or self.n_jobs < -1):
-            raise ValueError("n_jobs must be None, -1, or a positive integer")

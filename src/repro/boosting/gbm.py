@@ -29,8 +29,6 @@ from repro.boosting.dag import CompactEnsemble
 from repro.boosting.grower import TreeGrower
 from repro.boosting.losses import LogisticLoss, Loss, SquaredErrorLoss
 from repro.boosting.tree import TreeEnsemble
-from repro.parallel.executor import resolve_jobs
-from repro.parallel.hist import HistogramPool
 
 __all__ = ["GBRegressor", "GBClassifier"]
 
@@ -127,16 +125,8 @@ class _BaseGB:
             np.concatenate((X, X_val)) if has_eval else X, order="F"
         )
         # sklearn-style layout split: the grower scans columns of the
-        # F-ordered matrix; histogram workers and the pool share it via
-        # shm.  Serial fits (the default) never touch the pool.
-        jobs = resolve_jobs(cfg.n_jobs)
-        hist_pool: HistogramPool | None = None
-        if jobs > 1 and X.shape[1] > 1:
-            hist_pool = HistogramPool(binned, mapper.missing_bin, n_jobs=jobs)
-            if hist_pool.workers <= 1:  # one block or no fork: serial grower
-                hist_pool.close()
-                hist_pool = None
-        grower = TreeGrower(binned, mapper, cfg, hist_pool=hist_pool)
+        # F-ordered matrix.
+        grower = TreeGrower(binned, mapper, cfg)
         rng = np.random.default_rng(cfg.random_state)
 
         base = self._loss.base_score(y)
@@ -151,55 +141,51 @@ class _BaseGB:
         d = X.shape[1]
         eval_rows = np.arange(n, binned.shape[0])
         leaf_buf = np.empty(binned.shape[0], dtype=np.int64)
-        try:
-            for round_idx in range(cfg.n_estimators):
-                grad, hess = self._loss.gradient_hessian(raw, y)
-                if cfg.subsample < 1.0:
-                    take = max(1, int(round(cfg.subsample * n)))
-                    rows = rng.choice(n, size=take, replace=False)
-                    rows.sort()
-                    oob = np.ones(n, dtype=bool)
-                    oob[rows] = False
-                    passengers = np.concatenate((np.flatnonzero(oob), eval_rows))
-                else:
-                    rows = np.arange(n)
-                    passengers = eval_rows
-                if cfg.colsample_bytree < 1.0:
-                    take_f = max(1, int(round(cfg.colsample_bytree * d)))
-                    chosen = rng.choice(d, size=take_f, replace=False)
-                    feature_mask = np.zeros(d, dtype=bool)
-                    feature_mask[chosen] = True
-                else:
-                    feature_mask = np.ones(d, dtype=bool)
+        for round_idx in range(cfg.n_estimators):
+            grad, hess = self._loss.gradient_hessian(raw, y)
+            if cfg.subsample < 1.0:
+                take = max(1, int(round(cfg.subsample * n)))
+                rows = rng.choice(n, size=take, replace=False)
+                rows.sort()
+                oob = np.ones(n, dtype=bool)
+                oob[rows] = False
+                passengers = np.concatenate((np.flatnonzero(oob), eval_rows))
+            else:
+                rows = np.arange(n)
+                passengers = eval_rows
+            if cfg.colsample_bytree < 1.0:
+                take_f = max(1, int(round(cfg.colsample_bytree * d)))
+                chosen = rng.choice(d, size=take_f, replace=False)
+                feature_mask = np.zeros(d, dtype=bool)
+                feature_mask[chosen] = True
+            else:
+                feature_mask = np.ones(d, dtype=bool)
 
-                tree = grower.grow(
-                    grad,
-                    hess,
-                    rows,
-                    feature_mask,
-                    leaf_out=leaf_buf,
-                    passengers=passengers,
-                )
-                ensemble.trees.append(tree)
-                # Every training row is either in-bag or a passenger, so
-                # each raw score gains exactly its leaf's value.
-                raw += tree.value[leaf_buf[:n]]
+            tree = grower.grow(
+                grad,
+                hess,
+                rows,
+                feature_mask,
+                leaf_out=leaf_buf,
+                passengers=passengers,
+            )
+            ensemble.trees.append(tree)
+            # Every training row is either in-bag or a passenger, so
+            # each raw score gains exactly its leaf's value.
+            raw += tree.value[leaf_buf[:n]]
 
-                if has_eval:
-                    raw_val += tree.value[leaf_buf[n:]]
-                    val_loss = self._loss.loss(raw_val, y_val)
-                    self.eval_history_.append(val_loss)
-                    if val_loss < best_loss - 1e-12:
-                        best_loss = val_loss
-                        best_iter = round_idx + 1
-                    elif (
-                        cfg.early_stopping_rounds > 0
-                        and round_idx + 1 - best_iter >= cfg.early_stopping_rounds
-                    ):
-                        break
-        finally:
-            if hist_pool is not None:
-                hist_pool.close()
+            if has_eval:
+                raw_val += tree.value[leaf_buf[n:]]
+                val_loss = self._loss.loss(raw_val, y_val)
+                self.eval_history_.append(val_loss)
+                if val_loss < best_loss - 1e-12:
+                    best_loss = val_loss
+                    best_iter = round_idx + 1
+                elif (
+                    cfg.early_stopping_rounds > 0
+                    and round_idx + 1 - best_iter >= cfg.early_stopping_rounds
+                ):
+                    break
 
         if has_eval and cfg.early_stopping_rounds > 0 and best_iter > 0:
             ensemble.trees = ensemble.trees[:best_iter]

@@ -44,12 +44,16 @@ import numpy as np
 from repro.boosting.binning import BinMapper
 from repro.boosting.config import GBConfig
 from repro.boosting.tree import LEAF, Tree
-from repro.parallel.hist import FLAT_CELLS_MAX
 
-__all__ = ["TreeGrower"]
+__all__ = ["FLAT_CELLS_MAX", "TreeGrower"]
 
 #: Gain below which a split candidate is considered invalid.
 _NEG_INF = -np.inf
+
+#: Nodes with at most this many rows x features cells accumulate their
+#: histograms with one flat offset-codes bincount instead of the
+#: per-feature loop (see :meth:`TreeGrower._histograms`).
+FLAT_CELLS_MAX = 1 << 18
 
 
 def _clip(value: float, lower: float, upper: float) -> float:
@@ -104,13 +108,6 @@ class TreeGrower:
         ``parent - child``; when False every node accumulates its
         histograms from scratch.  The flag exists so equivalence tests
         can prove both paths grow identical trees.
-    hist_pool:
-        Optional :class:`repro.parallel.hist.HistogramPool` built over
-        the *same* binned matrix.  When given, each level's histogram
-        accumulation is batched into one wave and sharded across the
-        pool's feature-block workers; every (feature, bin) cell is
-        still one ``np.bincount`` in identical row order, so the grown
-        tree is bitwise identical to the serial path.
     """
 
     def __init__(
@@ -119,7 +116,6 @@ class TreeGrower:
         mapper: BinMapper,
         config: GBConfig,
         use_subtraction: bool = True,
-        hist_pool=None,
     ):
         if binned.dtype != np.uint8:
             raise TypeError("binned matrix must be uint8")
@@ -131,17 +127,6 @@ class TreeGrower:
         self.use_subtraction = use_subtraction
         self.n_features = binned.shape[1]
         self._stride = mapper.missing_bin + 1
-        self._hist_pool = hist_pool
-        if hist_pool is not None:
-            if hist_pool.stride != self._stride:
-                raise ValueError(
-                    f"hist_pool stride {hist_pool.stride} does not match "
-                    f"the mapper's {self._stride}"
-                )
-            if hist_pool.binned.shape != self.binned.shape:
-                raise ValueError(
-                    "hist_pool was built over a differently shaped matrix"
-                )
         self._col_offsets = (
             np.arange(self.n_features, dtype=np.int64) * self._stride
         )
@@ -240,11 +225,6 @@ class TreeGrower:
             rows = np.concatenate((rows, passengers))
         level = [_NodeTask(root, rows, n_train, 0, g_root, h_root)]
 
-        if self._hist_pool is not None:
-            self._hist_pool.begin_round(
-                grad, hess, feature_mask, self._n_channels
-            )
-
         constraints = cfg.monotone_constraints
         while level:
             # Level-synchronous growth: the candidate scan for every
@@ -254,20 +234,11 @@ class TreeGrower:
             scannable = []
             for task in level:
                 if task.depth < cfg.max_depth and task.n_train >= 2:
+                    if task.hist is None:
+                        task.hist = self._histograms(
+                            task.rows[: task.n_train], grad, hess, active_features
+                        )
                     scannable.append(task)
-            # All of a level's missing histograms accumulate as one
-            # wave (sharded across the pool's feature blocks when one
-            # is attached; a plain loop otherwise).
-            pending = [task for task in scannable if task.hist is None]
-            if pending:
-                hists = self._histograms_batch(
-                    [task.rows[: task.n_train] for task in pending],
-                    grad,
-                    hess,
-                    active_features,
-                )
-                for task, hist in zip(pending, hists):
-                    task.hist = hist
             splits = (
                 self._best_splits(scannable, feature_mask, mask_all)
                 if scannable
@@ -277,7 +248,7 @@ class TreeGrower:
 
             next_level = []
             #: (parent task, smaller child, bigger child) triples whose
-            #: child histograms derive from the parent after the batch.
+            #: child histograms derive from the parent after the level.
             derive: list[tuple[_NodeTask, _NodeTask, _NodeTask]] = []
             for task in level:
                 split = split_of.get(id(task))
@@ -369,31 +340,24 @@ class TreeGrower:
                 next_level.append(left_task)
                 next_level.append(right_task)
 
-            if derive:
-                # One wave accumulates every split's smaller child;
-                # each sibling is then derived as parent - child (in
-                # place: the parent's histograms are not needed any
-                # more).
-                small_hists = self._histograms_batch(
-                    [small.rows[: small.n_train] for _, small, _ in derive],
-                    grad,
-                    hess,
-                    active_features,
+            # Each split's smaller child accumulates its histograms; the
+            # sibling is derived as parent - child (in place: the
+            # parent's histograms are not needed any more).
+            for task, small, big in derive:
+                small.hist = self._histograms(
+                    small.rows[: small.n_train], grad, hess, active_features
                 )
-                for (task, small, big), small_hist in zip(derive, small_hists):
-                    small.hist = small_hist
-                    big_hist = np.subtract(task.hist, small_hist, out=task.hist)
-                    # Counts are integers stored in float64, so their
-                    # subtraction is exact; scrub the last-ulp residue
-                    # the float channels accumulate in bins that are
-                    # empty at this node but occupied higher up the
-                    # tree.  This keeps empty bins at exact zero at
-                    # every depth, which the split scan's occupancy
-                    # logic and duplicate-candidate tie-breaking rely
-                    # on.
-                    np.copyto(big_hist[:-1], 0.0, where=big_hist[-1] == 0.0)
-                    big.hist = big_hist
-                    task.hist = None
+                big_hist = np.subtract(task.hist, small.hist, out=task.hist)
+                # Counts are integers stored in float64, so their
+                # subtraction is exact; scrub the last-ulp residue the
+                # float channels accumulate in bins that are empty at
+                # this node but occupied higher up the tree.  This keeps
+                # empty bins at exact zero at every depth, which the
+                # split scan's occupancy logic and duplicate-candidate
+                # tie-breaking rely on.
+                np.copyto(big_hist[:-1], 0.0, where=big_hist[-1] == 0.0)
+                big.hist = big_hist
+                task.hist = None
             level = next_level
 
         return Tree(
@@ -420,29 +384,6 @@ class TreeGrower:
         cfg = self.config
         newton = _clip(-g / (h + cfg.reg_lambda), lower, upper)
         return cfg.learning_rate * newton
-
-    def _histograms_batch(
-        self,
-        rows_list: list[np.ndarray],
-        grad: np.ndarray,
-        hess: np.ndarray,
-        active_features: np.ndarray,
-    ) -> list[np.ndarray]:
-        """Histograms for a wave of nodes (one list entry per node).
-
-        With an attached :class:`~repro.parallel.hist.HistogramPool`
-        the whole wave is dispatched at once and sharded by feature
-        block; otherwise nodes accumulate in-process, in order.  Both
-        paths produce bitwise-identical arrays (each (feature, bin)
-        cell is one ``np.bincount`` in identical row order), so the
-        grown tree does not depend on the worker count.
-        """
-        if self._hist_pool is not None:
-            return self._hist_pool.accumulate(rows_list)
-        return [
-            self._histograms(rows, grad, hess, active_features)
-            for rows in rows_list
-        ]
 
     def _histograms(
         self,

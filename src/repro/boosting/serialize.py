@@ -140,19 +140,6 @@ def _ensure_compact(model) -> CompactEnsemble:
     return CompactEnsemble.from_ensemble(model.ensemble_)
 
 
-def _config_doc(config: GBConfig) -> dict:
-    """Serializable view of the config: hyper-parameters only.
-
-    ``n_jobs`` is execution configuration (how many histogram workers
-    built the trees), not model identity — fits are bitwise-identical
-    at every worker count — so it is stripped here to keep documents,
-    fingerprints, and goldens independent of where a model was trained.
-    """
-    doc = dataclasses.asdict(config)
-    doc.pop("n_jobs", None)
-    return doc
-
-
 #: Shared-table columns of a v3 ``dag`` section, in document order.
 _DAG_COLUMNS = (
     "children_left",
@@ -180,7 +167,7 @@ def model_to_dict(model) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
-        "config": _config_doc(model.config),
+        "config": dataclasses.asdict(model.config),
         "n_features": model.n_features_,
         "best_iteration": model.best_iteration_,
         "base_score": model.ensemble_.base_score,
@@ -246,8 +233,8 @@ def _new_model(doc: dict):
     if kind not in _KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
     config_doc = dict(doc["config"])
-    # Old documents written before n_jobs was stripped (or hand-edited
-    # ones) stay loadable, but execution config never round-trips.
+    # Documents written while GBConfig still had an n_jobs field (or
+    # hand-edited ones) stay loadable; the key never was model identity.
     config_doc.pop("n_jobs", None)
     if config_doc.get("monotone_constraints") is not None:
         config_doc["monotone_constraints"] = tuple(
@@ -393,7 +380,7 @@ def model_to_arrays(model, layout: str = "auto") -> tuple[dict, dict[str, np.nda
             )
     manifest = {
         "kind": kind,
-        "config": _config_doc(model.config),
+        "config": dataclasses.asdict(model.config),
         "n_features": int(model.n_features_),
         "best_iteration": model.best_iteration_,
         "base_score": float(model.ensemble_.base_score),

@@ -15,12 +15,14 @@ Spec grammar (the ``REPRO_FAULTS`` wire format)::
 ``w`` narrows the rule to one worker slot, ``n`` to one 0-based call
 ordinal of the ``(site, worker)`` counter, ``s`` sets the stall
 duration and ``x`` the fire budget (default 1: a rule fires once per
-process and then disarms).  Example::
+process and then disarms).  Each option may appear once per rule;
+``w`` and ``n`` must be >= 0, ``s`` finite and >= 0, ``x`` >= 1.
+Example::
 
-    REPRO_FAULTS="kill@shard.send:w=0:n=2;stall@hist.task:w=1:n=0:s=30"
+    REPRO_FAULTS="kill@shard.send:w=0:n=2;stall@shard.task:w=1:n=0:s=30"
 
 kills shard worker 0 just before its third task is sent, and makes
-histogram worker 1 sleep 30 s at its first wave.
+shard worker 1 sleep 30 s at its first task.
 
 Actions
 -------
@@ -48,6 +50,7 @@ for matrix tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,22 +68,23 @@ __all__ = [
 #: Known injection sites.  Parent-side sites are evaluated in the pool
 #: owner via ``should_kill``; the rest run inside workers (or inline,
 #: for ``registry.publish``) via ``inject``.
-PARENT_SITES = frozenset({"shard.send", "hist.send"})
+PARENT_SITES = frozenset({"shard.send"})
 SITES = PARENT_SITES | frozenset(
-    {
-        "shard.task",
-        "shard.task.done",
-        "hist.task",
-        "hist.task.done",
-        "shm.attach",
-        "registry.publish",
-    }
+    {"shard.task", "shard.task.done", "shm.attach", "registry.publish"}
 )
 
 ACTIONS = frozenset({"kill", "exit", "stall", "fail", "tear"})
 
 #: Default stall duration (seconds) when a stall rule gives no ``s=``.
 _DEFAULT_STALL = 30.0
+
+#: Spec option -> (FaultRule field, parser).
+_OPTIONS = {
+    "w": ("worker", int),
+    "n": ("at", int),
+    "s": ("seconds", float),
+    "x": ("times", int),
+}
 
 
 @dataclass(frozen=True)
@@ -96,16 +100,22 @@ class FaultRule:
 
     def __post_init__(self) -> None:
         if self.action not in ACTIONS:
-            raise ValueError(f"unknown fault action {self.action!r}")
-        if self.site not in SITES:
-            raise ValueError(f"unknown fault site {self.site!r}")
-        if self.action == "kill" and self.site not in PARENT_SITES:
-            raise ValueError(
-                f"kill rules need a parent-side site ({sorted(PARENT_SITES)}),"
-                f" got {self.site!r}"
-            )
-        if self.times < 1:
-            raise ValueError("fault rule needs times >= 1")
+            problem = f"unknown fault action {self.action!r}"
+        elif self.site not in SITES:
+            problem = f"unknown fault site {self.site!r}"
+        elif self.action == "kill" and self.site not in PARENT_SITES:
+            problem = f"kill rules need a parent-side site ({sorted(PARENT_SITES)})"
+        elif self.worker is not None and self.worker < 0:
+            problem = f"option w needs a worker >= 0, got {self.worker}"
+        elif self.at is not None and self.at < 0:
+            problem = f"option n needs an ordinal >= 0, got {self.at}"
+        elif not (math.isfinite(self.seconds) and self.seconds >= 0):
+            problem = f"option s needs finite seconds >= 0, got {self.seconds}"
+        elif self.times < 1:
+            problem = f"option x needs times >= 1, got {self.times}"
+        else:
+            return
+        raise ValueError(f"fault rule {self.spec()!r}: {problem}")
 
     def matches(self, site: str, worker: int | None, count: int) -> bool:
         """Does this rule fire at call ``count`` of ``(site, worker)``?"""
@@ -181,16 +191,18 @@ def parse_plan(spec: str) -> FaultPlan:
             key, sep, value = opt.partition("=")
             if not sep:
                 raise ValueError(f"malformed fault option {opt!r} in {chunk!r}")
-            if key == "w":
-                kwargs["worker"] = int(value)
-            elif key == "n":
-                kwargs["at"] = int(value)
-            elif key == "s":
-                kwargs["seconds"] = float(value)
-            elif key == "x":
-                kwargs["times"] = int(value)
-            else:
+            if key not in _OPTIONS:
                 raise ValueError(f"unknown fault option {key!r} in {chunk!r}")
+            name, parse = _OPTIONS[key]
+            if name in kwargs:
+                raise ValueError(f"fault rule {chunk!r}: option {key} given twice")
+            try:
+                kwargs[name] = parse(value)
+            except ValueError:
+                kind = "an integer" if parse is int else "a number"
+                raise ValueError(
+                    f"fault rule {chunk!r}: option {key} needs {kind}, got {value!r}"
+                ) from None
         rules.append(FaultRule(action=head.strip(), site=site.strip(), **kwargs))
     if not rules:
         raise ValueError(f"fault spec {spec!r} contains no rules")

@@ -3,9 +3,8 @@
 Every worker process is a :class:`ShardedPool` worker, with results
 bitwise-identical to the serial path: :func:`parallel_map` runs the
 grid's independent units (CV folds, Fig. 4 cells, per-clinic models,
-ablation arms), and :class:`HistogramPool` (:mod:`repro.parallel.hist`)
-shards one fit's histogram build across contiguous feature blocks.
-See :mod:`repro.parallel.executor` for the execution model and
+ablation arms), and the scoring router shards rows across a persistent
+pool.  See :mod:`repro.parallel.executor` for the execution model and
 :mod:`repro.parallel.shared` for the shared-memory design-matrix
 handoff.
 
@@ -19,12 +18,10 @@ from repro.parallel.executor import (
     parallel_map,
     resolve_jobs,
 )
-from repro.parallel.hist import HistogramPool
 from repro.parallel.shared import pack_samples, unpack_samples
 
 __all__ = [
     "ShardedPool",
-    "HistogramPool",
     "in_worker",
     "parallel_map",
     "resolve_jobs",

@@ -30,8 +30,8 @@ run on the process backend; anything unpicklable — a lambda model
 factory, say — silently degrades to the serial backend with identical
 results.
 
-One supervisor, three clients
------------------------------
+One supervisor, two clients
+---------------------------
 :class:`ShardedPool` is the only code that spawns, heals, kills and
 closes workers.  The shared arrays are exported once, each long-lived
 worker runs a *map-once* ``setup`` over them, and a task tagged with
@@ -43,9 +43,7 @@ goes idle first.  Its clients:
 * :func:`parallel_map` — one pool per call over unsharded tasks: the
   grid's protocol runs, folds, clinics and ablation arms;
 * :class:`~repro.serve.router.ScoringRouter` — row shards hashed by bin
-  codes, one persistent pool per model version;
-* :class:`~repro.parallel.hist.HistogramPool` — one task per feature
-  block and histogram wave, shard = block.
+  codes, one persistent pool per model version.
 """
 
 from __future__ import annotations
@@ -262,8 +260,6 @@ class ShardedPool:
     #: Per-slot respawn budget and base backoff (doubles per attempt).
     _RESPAWN_LIMIT = 3
     _RESPAWN_BACKOFF = 0.05
-    #: Fault-site prefix: ``<_SITE>.send`` / ``.task`` / ``.task.done``.
-    _SITE = "shard"
 
     def __init__(
         self,
@@ -323,7 +319,6 @@ class ShardedPool:
                 self._setup,
                 self._setup_args,
                 w,
-                self._SITE,
             ),
             daemon=True,
         )
@@ -453,7 +448,7 @@ class ShardedPool:
                 if not queue:
                     return
                 pos, payload = queue[0]
-                if should_kill(f"{self._SITE}.send", w):
+                if should_kill("shard.send", w):
                     self._kill_worker(w)  # fault plan: crash before send
                 try:
                     self._conns[w].send((fn, payload))
@@ -577,7 +572,7 @@ class ShardedPool:
         self._segments = []
 
 
-def _shard_worker_loop(conn, specs, setup, setup_args, worker_index, site):
+def _shard_worker_loop(conn, specs, setup, setup_args, worker_index):
     """One shard worker: attach the plane once, then serve tasks."""
     global _IN_WORKER
     _IN_WORKER = True
@@ -593,7 +588,7 @@ def _shard_worker_loop(conn, specs, setup, setup_args, worker_index, site):
             break
         fn, payload = message
         try:
-            inject(f"{site}.task", worker_index)
+            inject("shard.task", worker_index)
             result = fn(payload, state)
         except BaseException as exc:  # ship the failure, keep serving
             try:
@@ -602,5 +597,5 @@ def _shard_worker_loop(conn, specs, setup, setup_args, worker_index, site):
                 raise exc from None
         else:
             conn.send(("ok", result))
-            inject(f"{site}.task.done", worker_index)
+            inject("shard.task.done", worker_index)
     conn.close()

@@ -86,16 +86,11 @@ def export_shared(
     return specs, segments
 
 
-def attach_shared(
-    specs: dict[str, _ArraySpec], writable: bool = False
-) -> dict[str, np.ndarray]:
-    """Map exported specs back to arrays inside a worker.
+def attach_shared(specs: dict[str, _ArraySpec]) -> dict[str, np.ndarray]:
+    """Map exported specs back to read-only arrays inside a worker.
 
-    Arrays are read-only unless ``writable`` (the histogram pool's wave
-    buffers, which only ever travel as segments: a write to an inline
-    array would stay private to the worker).  The attached segments are
-    kept referenced for the life of the worker process; the parent owns
-    unlinking.
+    The attached segments are kept referenced for the life of the
+    worker process; the parent owns unlinking.
     """
     arrays: dict[str, np.ndarray] = {}
     for name, spec in specs.items():
@@ -108,7 +103,7 @@ def attach_shared(
                 spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf
             )
         array = array.view()
-        array.setflags(write=writable)
+        array.setflags(write=False)
         arrays[name] = array
     return arrays
 

@@ -26,10 +26,9 @@ from hypothesis import strategies as st
 
 import repro.boosting.grower as grower_mod
 from repro.boosting import BinMapper, GBClassifier, GBConfig, GBRegressor
-from repro.boosting.grower import TreeGrower, _NodeTask
+from repro.boosting.grower import FLAT_CELLS_MAX, TreeGrower, _NodeTask
 from repro.boosting.losses import LogisticLoss, SquaredErrorLoss
 from repro.boosting.tree import LEAF
-from repro.parallel.hist import FLAT_CELLS_MAX, HistogramPool
 
 
 def make_data(seed, n=500, d=6, missing=0.15):
@@ -365,8 +364,7 @@ class TestPassengers:
 
 class TestHistogramCrossover:
     """Flat and per-feature accumulation agree bitwise on the features
-    the scan reads, on both sides of ``FLAT_CELLS_MAX``; the pool picks
-    the same path as the grower for every node."""
+    the scan reads, on both sides of ``FLAT_CELLS_MAX``."""
 
     @pytest.mark.parametrize("unit_hess", [True, False])
     def test_paths_agree_on_both_sides(self, unit_hess, monkeypatch):
@@ -384,46 +382,19 @@ class TestHistogramCrossover:
         hess = np.ones(n) if unit_hess else rng.uniform(0.05, 0.25, size=n)
         mask = rng.random(d) < 0.8
         active = np.flatnonzero(mask)
-        pool = HistogramPool(binned, mapper.missing_bin, n_jobs=1)
-        try:
-            pool.begin_round(grad, hess, mask, grower._n_channels)
-            for size in (cap, cap + 1):
-                flat_side = size * d <= FLAT_CELLS_MAX
-                rows = np.sort(rng.choice(n, size, replace=False))
-                auto = grower._histograms(rows, grad, hess, active)
-                # The flat path also fills masked-out features; the
-                # per-feature path leaves them at zero.
-                assert bool(auto[:, ~mask].any()) == flat_side
-                assert np.array_equal(pool.accumulate([rows])[0], auto)
-                monkeypatch.setattr(
-                    grower_mod, "FLAT_CELLS_MAX", 0 if flat_side else 1 << 40
-                )
-                other = grower._histograms(rows, grad, hess, active)
-                monkeypatch.undo()
-                assert np.array_equal(auto[:, active], other[:, active])
-        finally:
-            pool.close()
-
-    def test_pool_accepts_passenger_rows(self):
-        # A pool over the grower's train + eval matrix takes gradients
-        # for the training rows only.
-        X, y = make_data(12, n=300)
-        mapper = BinMapper(max_bins=32).fit(X[:250])
-        binned = mapper.transform(X, order="F")
-        mask = np.ones(X.shape[1], dtype=bool)
-        rows = np.arange(250)
-        grower = TreeGrower(binned, mapper, GBConfig())
-        grower._n_channels = 2
-        pool = HistogramPool(binned, mapper.missing_bin, n_jobs=1)
-        try:
-            grad = y[:250] - y[:250].mean()
-            pool.begin_round(grad, np.ones(250), mask, 2)
-            assert np.array_equal(
-                pool.accumulate([rows])[0],
-                grower._histograms(rows, grad, np.ones(250), np.arange(6)),
+        for size in (cap, cap + 1):
+            flat_side = size * d <= FLAT_CELLS_MAX
+            rows = np.sort(rng.choice(n, size, replace=False))
+            auto = grower._histograms(rows, grad, hess, active)
+            # The flat path also fills masked-out features; the
+            # per-feature path leaves them at zero.
+            assert bool(auto[:, ~mask].any()) == flat_side
+            monkeypatch.setattr(
+                grower_mod, "FLAT_CELLS_MAX", 0 if flat_side else 1 << 40
             )
-        finally:
-            pool.close()
+            other = grower._histograms(rows, grad, hess, active)
+            monkeypatch.undo()
+            assert np.array_equal(auto[:, active], other[:, active])
 
 
 def padded_scores(grower, tasks, feature_mask, mask_all):

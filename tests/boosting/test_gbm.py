@@ -119,6 +119,22 @@ class TestRegressor:
         model = GBRegressor(n_estimators=60, max_depth=2).fit(X, y)
         assert float(np.mean(np.abs(model.predict(X) - y))) < 0.5
 
+    def test_fit_starts_no_worker_pool(self, regression_data, monkeypatch):
+        # REPRO_JOBS sizes the grid and serving pools; a standalone fit
+        # grows every tree in-process whatever it says.
+        from repro.parallel import ShardedPool
+
+        X, y = regression_data
+        serial = GBRegressor(n_estimators=20, max_depth=3).fit(X, y)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("GBRegressor.fit constructed a ShardedPool")
+
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        monkeypatch.setattr(ShardedPool, "__init__", refuse)
+        model = GBRegressor(n_estimators=20, max_depth=3).fit(X, y)
+        assert np.array_equal(model.predict(X), serial.predict(X))
+
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             GBRegressor().predict(np.zeros((1, 2)))

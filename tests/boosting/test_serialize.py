@@ -55,6 +55,21 @@ class TestRoundTrip:
         assert restored.config == model.config
         assert restored.best_iteration_ == model.best_iteration_
 
+    def test_legacy_n_jobs_key_still_loads(self, fitted_regressor):
+        # Documents written while GBConfig had an n_jobs field (a
+        # histogram worker count) load to the same model.
+        from repro.serve.registry import model_fingerprint
+
+        model, X = fitted_regressor
+        doc = model_to_dict(model)
+        assert "n_jobs" not in doc["config"]
+        legacy = json.loads(json.dumps(doc))
+        legacy["config"]["n_jobs"] = 4
+        restored = model_from_dict(legacy)
+        assert restored.config == model.config
+        assert model_fingerprint(model_to_dict(restored)) == model_fingerprint(doc)
+        assert np.array_equal(restored.predict(X), model.predict(X))
+
     def test_missing_routing_preserved(self, fitted_regressor):
         model, X = fitted_regressor
         restored = model_from_dict(model_to_dict(model))

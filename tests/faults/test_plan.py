@@ -32,7 +32,7 @@ from repro.faults import (
 class TestGrammar:
     def test_round_trip(self):
         spec = (
-            "kill@shard.send:w=0:n=2;stall@hist.task:w=1:s=0.5:x=3;"
+            "kill@shard.send:w=0:n=2;stall@shard.task:w=1:s=0.5:x=3;"
             "tear@registry.publish"
         )
         plan = parse_plan(spec)
@@ -56,11 +56,60 @@ class TestGrammar:
             ("kill@shard.send:x=0", "times >= 1"),
             ("", "no rules"),
             (" ; ", "no rules"),
+            # Rules that could never fire, or would crash the worker
+            # at time.sleep, fail at parse time.
+            ("kill@shard.send:w=-1", "worker >= 0"),
+            ("kill@shard.send:n=-1", "ordinal >= 0"),
+            ("stall@shard.task:s=nan", "finite seconds >= 0"),
+            ("stall@shard.task:s=inf", "finite seconds >= 0"),
+            ("stall@shard.task:s=1e400", "finite seconds >= 0"),
+            ("stall@shard.task:s=-1", "finite seconds >= 0"),
+            ("kill@shard.send:w=1:w=2", "given twice"),
+            ("stall@shard.task:s=1:n=0:s=2", "given twice"),
+            ("kill@shard.send:w=x", "needs an integer"),
+            ("stall@shard.task:s=soon", "needs a number"),
+            # The intra-fit histogram pool's sites are gone.
+            ("kill@hist.send", "unknown fault site"),
+            ("stall@hist.task", "unknown fault site"),
+            ("stall@hist.task.done", "unknown fault site"),
         ],
     )
     def test_rejects_malformed_specs(self, spec, match):
         with pytest.raises(ValueError, match=match):
             parse_plan(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "kill@shard.send:w=-1",
+            "kill@shard.send:n=-1",
+            "stall@shard.task:s=nan",
+            "stall@shard.task:s=-1",
+            "kill@shard.send:x=0",
+            "kill@shard.send:w=1:w=2",
+            "kill@shard.send:w=x",
+            "stall@shard.task:s=soon",
+        ],
+    )
+    def test_option_errors_name_the_rule_and_the_option(self, spec):
+        option = spec.rpartition(":")[2].partition("=")[0]
+        with pytest.raises(ValueError) as info:
+            parse_plan(f"kill@shard.send:n=0;{spec}")
+        message = str(info.value)
+        assert f"fault rule '{spec.partition(':')[0]}:" in message
+        assert f"option {option} " in message
+
+    def test_direct_rules_are_validated_too(self):
+        for kwargs in (
+            {"worker": -1},
+            {"at": -2},
+            {"seconds": float("nan")},
+            {"seconds": float("inf")},
+            {"seconds": -0.5},
+        ):
+            with pytest.raises(ValueError, match="fault rule 'stall@shard.task"):
+                FaultRule(action="stall", site="shard.task", **kwargs)
+        assert FaultRule(action="stall", site="shard.task", seconds=0.0).seconds == 0
 
     def test_every_action_and_site_is_spellable(self):
         for action in sorted(ACTIONS):
@@ -111,7 +160,7 @@ class TestActivation:
         assert faults_active()
         first = active_plan()
         assert first is active_plan()  # same instance: counters persist
-        monkeypatch.setenv("REPRO_FAULTS", "kill@hist.send:n=0")
+        monkeypatch.setenv("REPRO_FAULTS", "kill@shard.send:n=1")
         assert active_plan() is not first
         monkeypatch.delenv("REPRO_FAULTS")
         assert not faults_active()
@@ -124,10 +173,10 @@ class TestActivation:
         assert active_plan().rules[0].site == "shm.attach"
 
     def test_context_plans_nest(self):
-        with fault_plan("kill@shard.send"):
-            with fault_plan("kill@hist.send") as inner:
+        with fault_plan("kill@shard.send") as outer:
+            with fault_plan("stall@shard.task") as inner:
                 assert active_plan() is inner
-            assert active_plan().rules[0].site == "shard.send"
+            assert active_plan() is outer
         assert not faults_active()
 
 
@@ -166,10 +215,10 @@ class TestKillSchedule:
         assert kill_schedule(8, workers=3, max_at=8, kills=2).spec() != a.spec()
 
     def test_rules_within_bounds(self):
-        plan = kill_schedule(3, site="hist.send", workers=4, max_at=6, kills=5)
+        plan = kill_schedule(3, site="shard.send", workers=4, max_at=6, kills=5)
         assert len(plan.rules) == 5
         for rule in plan.rules:
-            assert rule.action == "kill" and rule.site == "hist.send"
+            assert rule.action == "kill" and rule.site == "shard.send"
             assert 0 <= rule.worker < 4
             assert 0 <= rule.at < 6
 
