@@ -70,6 +70,20 @@ class TestRoundTrip:
         assert model_fingerprint(model_to_dict(restored)) == model_fingerprint(doc)
         assert np.array_equal(restored.predict(X), model.predict(X))
 
+    @pytest.mark.parametrize("n_jobs", [None, -1, 2])
+    def test_legacy_n_jobs_values_load_classifier(self, fitted_classifier, n_jobs):
+        # Every value the old field accepted loads, for either kind.
+        from repro.serve.registry import model_fingerprint
+
+        model, X = fitted_classifier
+        doc = model_to_dict(model)
+        legacy = json.loads(json.dumps(doc))
+        legacy["config"]["n_jobs"] = n_jobs
+        restored = model_from_dict(legacy)
+        assert restored.config == model.config
+        assert model_fingerprint(model_to_dict(restored)) == model_fingerprint(doc)
+        assert np.array_equal(restored.predict_proba(X), model.predict_proba(X))
+
     def test_missing_routing_preserved(self, fitted_regressor):
         model, X = fitted_regressor
         restored = model_from_dict(model_to_dict(model))
