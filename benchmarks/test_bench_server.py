@@ -71,7 +71,6 @@ def test_serve_http_closed_loop_slo(ctx, results_dir, tmp_path):
         registry,
         "sppb",
         jobs=1,
-        flush_interval=0.001,
         poll_interval=0,
     )
     with ServerThread(server) as handle:

@@ -16,7 +16,6 @@ Experiments: fig1, fig4, table1, fig5, fig6, fig7, qa, abl1, abl2, abl3, all.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -127,12 +126,6 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot create --out {args.out}: {exc}", file=sys.stderr)
             return 2
-    if args.jobs is not None:
-        # Propagate to resolve_jobs() consumers that take no n_jobs from
-        # the context — ablation_models calls run_protocol without one.
-        # Grid workers still fit serially: resolve_jobs() returns 1
-        # inside pool workers (nested-pool suppression).
-        os.environ["REPRO_JOBS"] = str(args.jobs)
     ctx = ExperimentContext(
         seed=args.seed,
         n_folds=2 if args.small else 3,

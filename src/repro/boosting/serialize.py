@@ -292,19 +292,7 @@ def model_from_dict(doc: dict):
     return model
 
 
-#: Per-tree node arrays packed by :func:`model_to_arrays` (name, dtype).
-_NODE_FIELDS = (
-    ("children_left", np.int64),
-    ("children_right", np.int64),
-    ("feature", np.int64),
-    ("threshold", np.float64),
-    ("missing_left", bool),
-    ("value", np.float64),
-    ("cover", np.float64),
-)
-
-
-#: Shared-table / per-tree arrays of the ``dag`` handoff layout.
+#: Shared-table / per-tree arrays of the process-handoff layout.
 _DAG_TABLE_ARRAYS = (
     ("children_left", np.int64),
     ("children_right", np.int64),
@@ -318,24 +306,18 @@ _DAG_TABLE_ARRAYS = (
 )
 
 
-def model_to_arrays(model, layout: str = "auto") -> tuple[dict, dict[str, np.ndarray]]:
+def model_to_arrays(model) -> tuple[dict, dict[str, np.ndarray]]:
     """Pack a fitted estimator into flat arrays + a picklable manifest.
 
     The JSON document (:func:`model_to_dict`) is the *persistence*
     format; this is the *process-handoff* format: the model's working
     set travels in a handful of contiguous arrays so the whole model
     plane fits in a few POSIX shared-memory segments, and the manifest
-    carries only scalars.
-
-    ``layout`` picks the packing:
-
-    * ``"dag"`` — the hash-consed shared node table (``dag:*`` arrays)
-      plus per-tree canonical-order ``cover``/``threshold`` statistics;
-      the deduplicated table is what every scoring worker maps.
-    * ``"dense"`` — the legacy per-field concatenation of every tree's
-      node arrays (the only layout for models without bin thresholds).
-    * ``"auto"`` (default) — ``dag`` when the trees carry bin-space
-      thresholds, else ``dense``.
+    carries only scalars.  The packing is the hash-consed shared node
+    table (``dag:*`` arrays) plus per-tree canonical-order
+    ``cover``/``threshold`` statistics; the deduplicated table is what
+    every scoring worker maps.  The trees must carry bin-space
+    thresholds (``ValueError`` otherwise, from the table build).
 
     :func:`model_from_arrays` rebuilds the estimator with **zero-copy
     views** into the given arrays — N scoring workers map one exported
@@ -345,39 +327,18 @@ def model_to_arrays(model, layout: str = "auto") -> tuple[dict, dict[str, np.nda
     if model.ensemble_ is None:
         raise ValueError("model is not fitted; nothing to pack")
     trees = model.ensemble_.trees
-    binnable = all(t.bin_threshold is not None for t in trees)
-    if layout == "auto":
-        layout = "dag" if binnable else "dense"
-    if layout not in ("dag", "dense"):
-        raise ValueError(f"unknown pack layout {layout!r}")
-    if layout == "dag" and not binnable:
-        raise ValueError(
-            "model trees carry no bin thresholds; only the dense layout "
-            "can pack them"
-        )
-    arrays: dict[str, np.ndarray] = {}
-    if layout == "dag":
-        compact = _ensure_compact(model)
-        for name, dtype in _DAG_TABLE_ARRAYS:
-            arrays[f"dag:{name}"] = np.asarray(
-                getattr(compact, name), dtype=dtype
-            )
-        perms = [canonical_order(t) for t in trees]
-        arrays["tree:cover"] = np.concatenate(
-            [t.cover[perm] for t, perm in zip(trees, perms)]
-        )
-        arrays["tree:threshold"] = np.concatenate(
-            [t.threshold[perm] for t, perm in zip(trees, perms)]
-        )
-    else:
-        for name, dtype in _NODE_FIELDS:
-            arrays[f"tree:{name}"] = np.concatenate(
-                [np.asarray(getattr(t, name), dtype=dtype) for t in trees]
-            )
-        if binnable:
-            arrays["tree:bin_threshold"] = np.concatenate(
-                [np.asarray(t.bin_threshold, dtype=np.int64) for t in trees]
-            )
+    compact = _ensure_compact(model)
+    arrays = {
+        f"dag:{name}": np.asarray(getattr(compact, name), dtype=dtype)
+        for name, dtype in _DAG_TABLE_ARRAYS
+    }
+    perms = [canonical_order(t) for t in trees]
+    arrays["tree:cover"] = np.concatenate(
+        [t.cover[perm] for t, perm in zip(trees, perms)]
+    )
+    arrays["tree:threshold"] = np.concatenate(
+        [t.threshold[perm] for t, perm in zip(trees, perms)]
+    )
     manifest = {
         "kind": kind,
         "config": dataclasses.asdict(model.config),
@@ -385,12 +346,9 @@ def model_to_arrays(model, layout: str = "auto") -> tuple[dict, dict[str, np.nda
         "best_iteration": model.best_iteration_,
         "base_score": float(model.ensemble_.base_score),
         "n_nodes": [t.n_nodes for t in trees],
-        "binnable": binnable,
-        "layout": layout,
+        "n_source_nodes": int(compact.n_source_nodes),
         "mapper": None,
     }
-    if layout == "dag":
-        manifest["n_source_nodes"] = int(compact.n_source_nodes)
     mapper = model.mapper_
     if mapper is not None:
         if mapper.bin_edges_ is None or mapper.n_bins_ is None:
@@ -408,15 +366,22 @@ def model_to_arrays(model, layout: str = "auto") -> tuple[dict, dict[str, np.nda
     return manifest, arrays
 
 
-def _trees_from_dag_arrays(
-    manifest: dict, arrays: dict[str, np.ndarray]
-) -> tuple[CompactEnsemble, list[Tree]]:
-    """Zero-copy ``CompactEnsemble`` + canonical trees from ``dag:*``."""
-    table = {name: arrays[f"dag:{name}"] for name, _ in _DAG_TABLE_ARRAYS}
+def model_from_arrays(manifest: dict, arrays: dict[str, np.ndarray]):
+    """Rebuild a fitted estimator from :func:`model_to_arrays` output.
+
+    The shared DAG table, the per-tree node statistics and every mapper
+    array are *views* (slices) of the packed arrays: nothing large is
+    copied, so arrays backed by shared memory stay shared (and
+    read-only) in the reconstructed model.  The trees are re-expanded
+    in canonical node order, and the mapped :class:`CompactEnsemble` is
+    attached as ``model.compact_``, the engine the scoring service
+    predicts through.
+    """
+    model = _new_model(manifest)
     compact = CompactEnsemble(
         base_score=float(manifest["base_score"]),
         n_source_nodes=int(manifest["n_source_nodes"]),
-        **table,
+        **{name: arrays[f"dag:{name}"] for name, _ in _DAG_TABLE_ARRAYS},
     )
     covers, thresholds = [], []
     offset = 0
@@ -424,45 +389,11 @@ def _trees_from_dag_arrays(
         covers.append(arrays["tree:cover"][offset : offset + n])
         thresholds.append(arrays["tree:threshold"][offset : offset + n])
         offset += n
-    return compact, compact.expand(covers=covers, thresholds=thresholds)
-
-
-def model_from_arrays(manifest: dict, arrays: dict[str, np.ndarray]):
-    """Rebuild a fitted estimator from :func:`model_to_arrays` output.
-
-    Every mapper array — and, per layout, the shared DAG table
-    (``dag``) or every tree node array (``dense``) — is a *view*
-    (slice) of the packed arrays: nothing large is copied, so arrays
-    backed by shared memory stay shared (and read-only) in the
-    reconstructed model.  A ``dag`` reconstruction attaches the mapped
-    :class:`CompactEnsemble` as ``model.compact_``, which is the engine
-    the scoring service predicts through.
-    """
-    model = _new_model(manifest)
-    if manifest.get("layout", "dense") == "dag":
-        compact, trees = _trees_from_dag_arrays(manifest, arrays)
-        model.ensemble_ = TreeEnsemble(
-            base_score=float(manifest["base_score"]), trees=trees
-        )
-        model.compact_ = compact
-    else:
-        trees = []
-        offset = 0
-        binnable = manifest["binnable"]
-        for n in manifest["n_nodes"]:
-            fields = {
-                name: arrays[f"tree:{name}"][offset : offset + n]
-                for name, _ in _NODE_FIELDS
-            }
-            if binnable:
-                fields["bin_threshold"] = arrays["tree:bin_threshold"][
-                    offset : offset + n
-                ]
-            trees.append(Tree(**fields))
-            offset += n
-        model.ensemble_ = TreeEnsemble(
-            base_score=float(manifest["base_score"]), trees=trees
-        )
+    model.ensemble_ = TreeEnsemble(
+        base_score=float(manifest["base_score"]),
+        trees=compact.expand(covers=covers, thresholds=thresholds),
+    )
+    model.compact_ = compact
     mapper_info = manifest["mapper"]
     if mapper_info is not None:
         mapper = BinMapper(max_bins=int(mapper_info["max_bins"]))

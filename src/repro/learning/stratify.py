@@ -59,11 +59,14 @@ class _ClinicUnit:
 def run_clinic_unit(unit: _ClinicUnit, shared: dict) -> EvaluationResult:
     """Execute one clinic's protocol run (executor unit function)."""
     subset = unpack_samples(unit.handle, shared)
+    # n_jobs=1: the clinic fan-out owns the parallelism, so a unit run
+    # inline never reads REPRO_JOBS (inside a worker this is a no-op).
     result = run_protocol(
         subset,
         model_factory=unit.factory,
         n_folds=unit.n_folds,
         seed=unit.seed,
+        n_jobs=1,
     )
     return strip_samples(result)
 

@@ -73,6 +73,11 @@ __all__ = [
 
 _IN_WORKER = False
 
+#: Largest explicit worker count :func:`resolve_jobs` accepts.  Every
+#: worker is a process, so a larger ``n_jobs``/``REPRO_JOBS`` (a typo or
+#: a runaway setting) is refused rather than started.
+MAX_JOBS = 64
+
 
 def in_worker() -> bool:
     """True inside an executor worker process."""
@@ -82,13 +87,16 @@ def in_worker() -> bool:
 def resolve_jobs(n_jobs: int | None = None) -> int:
     """Resolve the worker count: argument over ``REPRO_JOBS`` over 1.
 
-    ``0`` and ``-1`` mean "one per CPU".  Inside a worker process the
+    ``0`` and ``-1`` mean "one per CPU"; an explicit count above
+    :data:`MAX_JOBS` is a ``ValueError``.  Inside a worker process the
     answer is always 1 — nested pools would oversubscribe the machine
     without changing any result.
     """
     if _IN_WORKER:
         return 1
+    source = "n_jobs"
     if n_jobs is None:
+        source = "REPRO_JOBS"
         raw = os.environ.get("REPRO_JOBS", "").strip()
         if not raw:
             return 1
@@ -101,7 +109,9 @@ def resolve_jobs(n_jobs: int | None = None) -> int:
     if n_jobs in (0, -1):
         return os.cpu_count() or 1
     if n_jobs < -1:
-        raise ValueError(f"n_jobs must be >= -1, got {n_jobs}")
+        raise ValueError(f"{source} must be >= -1, got {n_jobs}")
+    if n_jobs > MAX_JOBS:
+        raise ValueError(f"{source} must be <= {MAX_JOBS}, got {n_jobs}")
     return n_jobs
 
 

@@ -33,7 +33,7 @@ fitted model assisting many clinical visits, scaled to heavy traffic:
     count.
 ``ScoringServer``
     The network edge (:mod:`repro.serve.server`): an asyncio HTTP/1.1
-    front end with a background flush timer over the router, admission
+    front end that batches posts on arrival over the router, admission
     control (:mod:`repro.serve.admission`), hot model swap driven by
     the registry's ``LATEST`` pointer, and a ``/metrics`` ops endpoint
     (:mod:`repro.serve.stats`).  Responses stay bitwise-identical to

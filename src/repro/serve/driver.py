@@ -148,14 +148,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     st.add_argument("--max-batch", type=int, default=64)
     st.add_argument(
-        "--flush-interval",
-        type=float,
-        default=0.002,
-        metavar="SECONDS",
-        help="background flush timer: how long a post may wait for "
-        "co-travellers before its micro-batch executes",
-    )
-    st.add_argument(
         "--max-queue",
         type=int,
         default=256,
@@ -353,7 +345,6 @@ def _start(args: argparse.Namespace) -> int:
         port=args.port,
         jobs=args.jobs,
         max_batch=args.max_batch,
-        flush_interval=args.flush_interval,
         max_queue=args.max_queue,
         poll_interval=args.poll_interval,
         cache_size=args.cache_size,

@@ -88,17 +88,17 @@ class ModelPlane:
                 "model carries no fitted BinMapper (mapper_); reload it "
                 "through the registry (format v2) or refit"
             )
-        manifest, arrays = model_to_arrays(model)
-        if not manifest["binnable"]:
+        if any(t.bin_threshold is None for t in model.ensemble_.trees):
             raise ValueError(
                 "model trees carry no bin thresholds; the scoring plane "
                 "requires the binned fast path"
             )
+        manifest, arrays = model_to_arrays(model)
         if version is None:
             version = model_fingerprint(model_to_dict(model))
         manifest["version"] = version
 
-        # The dag layout re-expands trees in canonical node order, so
+        # The packed plane re-expands trees in canonical node order, so
         # the packed TreeSHAP structures must be built from the same
         # canonical trees the workers will map — structure output is
         # topology-driven, hence bitwise identical to the originals,

@@ -3,7 +3,7 @@
 :class:`ScoringRouter` is the front end of the multi-worker scoring
 plane.  It takes pre-coalesced micro-batches of heterogeneous
 predict/explain requests (:meth:`ScoringRouter.score_batch`; batch
-formation belongs to the caller — the HTTP server's flush timer, the
+formation belongs to the caller — the HTTP server's flusher, the
 ``repro serve score`` chunk loop) and fans every micro-batch over a pool
 of scoring workers that each map the shared-memory
 :class:`~repro.serve.plane.ModelPlane` once
@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.parallel import ShardedPool
+from repro.parallel import ShardedPool, resolve_jobs
 from repro.serve.cache import CacheStats
 from repro.serve.plane import ModelPlane
 from repro.serve.registry import ModelRegistry
@@ -144,6 +144,7 @@ class ScoringRouter:
         top_k: int = 5,
         task_deadline: float | None = None,
     ):
+        n_jobs = resolve_jobs(n_jobs)  # a bad count fails before packing
         plane = ModelPlane.pack(model, version=version)
         self.version = plane.version
         self.n_features = int(model.n_features_)

@@ -3,9 +3,9 @@
 :class:`ScoringServer` puts a network edge on the serving stack built in
 PRs 3/5/7: a hand-rolled HTTP/1.1 server (asyncio streams, keep-alive)
 that accepts ``POST /predict`` / ``POST /explain`` JSON requests,
-coalesces them into micro-batches on a **background flush timer** (the
-only batch former in the serving stack), and executes each batch with
-one :meth:`~repro.serve.router.ScoringRouter.score_batch` call on the
+coalesces them into micro-batches **on arrival** (the only batch former
+in the serving stack), and executes each batch with one
+:meth:`~repro.serve.router.ScoringRouter.score_batch` call on the
 :class:`~repro.parallel.executor.ShardedPool` plane.
 
 Determinism contract
@@ -31,16 +31,18 @@ the background so a hot swap never stalls traffic.  The flow:
   .AdmissionController` for queue budget (refusing with ``429`` +
   ``Retry-After`` when the plane is saturated), enqueue the post with a
   future, and await it.
-* **The flusher task** wakes on arrivals, waits ``flush_interval``
-  seconds for co-travellers, then pops a run of whole posts (at most
-  ``max_batch`` rows), scores it via the router on the scorer thread,
-  and resolves each post's future.
+* **The flusher task** sleeps until a post arrives or a swap is
+  staged, and never on a timer.  An idle flusher scores the first post
+  at once; posts that arrive while a batch is scoring wait in the
+  queue and form the next batch, a run of whole posts of at most
+  ``max_batch`` rows.  It scores each batch via the router on the
+  scorer thread and resolves each post's future.
 * **The watcher task** polls the :class:`~repro.serve.registry
   .ModelRegistry` ``LATEST`` pointer; on a new version it builds a
   fresh router (new shm plane + workers) on the builder thread and
-  stages it.  The flusher applies staged swaps **between batches**:
-  zero requests are dropped, no response mixes versions, and the old
-  plane is closed only after its last batch.
+  stages it.  The flusher applies staged swaps **between batches**,
+  and at once when idle: zero requests are dropped, no response mixes
+  versions, and the old plane is closed only after its last batch.
 * **Shutdown** (:meth:`stop`, idempotent) stops accepting, lets the
   flusher drain every admitted post, waits for the responses to flush
   to the sockets, then tears down routers and executors — the
@@ -62,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.parallel.executor import resolve_deadline
+from repro.parallel.executor import resolve_deadline, resolve_jobs
 from repro.serve.admission import AdmissionController
 from repro.serve.registry import ModelRegistry
 from repro.serve.router import ScoringRouter
@@ -142,6 +144,10 @@ def _parse_rows(document: object, n_features: int) -> np.ndarray:
                     f"row {i}, column {j}: expected a number or null"
                 )
     return out
+
+
+class _BadRequest(Exception):
+    """A request whose framing cannot be trusted: answer 400, then close."""
 
 
 @dataclass
@@ -226,9 +232,6 @@ class ScoringServer:
         Micro-batch row bound.  Also the largest single POST (bigger
         posts get a 413 — they could not be answered by one version
         atomically).
-    flush_interval:
-        Seconds the background flush timer waits for co-travelling
-        posts before executing a non-full batch.
     max_queue:
         Admission bound in rows; beyond it posts get 429 +
         ``Retry-After``.
@@ -260,7 +263,6 @@ class ScoringServer:
         port: int = 0,
         jobs: int | None = None,
         max_batch: int = 64,
-        flush_interval: float = 0.002,
         max_queue: int = 256,
         poll_interval: float = 2.0,
         cache_size: int = 4096,
@@ -269,10 +271,6 @@ class ScoringServer:
         latency_window: int = 4096,
         clock: Callable[[], float] = time.perf_counter,
     ):
-        if flush_interval < 0:
-            raise ValueError(
-                f"flush_interval must be >= 0, got {flush_interval}"
-            )
         if poll_interval < 0:
             raise ValueError(
                 f"poll_interval must be >= 0, got {poll_interval}"
@@ -288,14 +286,13 @@ class ScoringServer:
         self._pinned_tag = tag
         self._host = host
         self._requested_port = port
-        self._jobs = jobs
         self.max_batch = max_batch
-        self.flush_interval = flush_interval
         self.poll_interval = poll_interval
         self._cache_size = cache_size
         self._top_k = top_k
-        # Resolved (and validated) now, so a bad value or
+        # Resolved (and validated) now, so a bad value, REPRO_JOBS or
         # REPRO_TASK_DEADLINE fails the construction, not the first build.
+        self._jobs = resolve_jobs(jobs)
         self._task_deadline = resolve_deadline(task_deadline)
         self._clock = clock
         self._admission = AdmissionController(max_queue)
@@ -322,7 +319,6 @@ class ScoringServer:
         self._flusher: asyncio.Task | None = None
         self._watcher: asyncio.Task | None = None
         self._wakeup: asyncio.Event | None = None
-        self._flush_now: asyncio.Event | None = None
         self._scorer: ThreadPoolExecutor | None = None
         self._builder: ThreadPoolExecutor | None = None
         self._writers: set[asyncio.StreamWriter] = set()
@@ -337,7 +333,6 @@ class ScoringServer:
             raise RuntimeError("server already started")
         self._loop = asyncio.get_running_loop()
         self._wakeup = asyncio.Event()
-        self._flush_now = asyncio.Event()
         self._scorer = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-scorer"
         )
@@ -378,8 +373,6 @@ class ScoringServer:
             self._watcher = None
         if self._wakeup is not None:
             self._wakeup.set()
-        if self._flush_now is not None:
-            self._flush_now.set()  # cut any co-traveller window short
         if self._flusher is not None:
             await self._flusher  # drains the queue, then exits
             self._flusher = None
@@ -469,7 +462,6 @@ class ScoringServer:
             config={
                 "jobs": self._router.workers,
                 "max_batch": self.max_batch,
-                "flush_interval": self.flush_interval,
                 "max_queue": self._admission.max_queue,
                 "poll_interval": self.poll_interval,
             },
@@ -522,40 +514,24 @@ class ScoringServer:
         }
 
     # ------------------------------------------------------------------
-    # Micro-batch formation (the background flush timer).
+    # Micro-batch formation (batch on arrival).
 
     async def _flush_loop(self) -> None:
         assert self._wakeup is not None
         while True:
+            # Clear before looking: a post or a staged swap that lands
+            # while this pass awaits sets the event again, so the wait
+            # below never sleeps through it.
+            self._wakeup.clear()
+            if not self._stopping:
+                # Once the drain began, a staged router is the stop
+                # sweep's to close, never this server's to serve.
+                await self._apply_staged_swap()
             if not self._queue:
                 if self._stopping:
                     break
-                self._wakeup.clear()
-                try:
-                    await asyncio.wait_for(
-                        self._wakeup.wait(), timeout=0.05
-                    )
-                except (asyncio.TimeoutError, TimeoutError):
-                    await self._apply_staged_swap()
+                await self._wakeup.wait()
                 continue
-            if (
-                self.flush_interval > 0
-                and self._queued_rows < self.max_batch
-                and not self._stopping
-            ):
-                # The flush timer: give co-travelling posts a window to
-                # join before executing a non-full batch.  The window is
-                # cut short when the queue fills a whole batch or the
-                # server starts draining for shutdown.
-                assert self._flush_now is not None
-                self._flush_now.clear()
-                try:
-                    await asyncio.wait_for(
-                        self._flush_now.wait(), timeout=self.flush_interval
-                    )
-                except (asyncio.TimeoutError, TimeoutError):
-                    pass
-            await self._apply_staged_swap()
             batch: list[_Post] = []
             batch_rows = 0
             while self._queue:
@@ -566,8 +542,7 @@ class ScoringServer:
                 batch.append(post)
                 batch_rows += next_rows
             self._queued_rows -= batch_rows
-            if batch:
-                await self._execute(batch)
+            await self._execute(batch)
 
     async def _execute(self, batch: list[_Post]) -> None:
         """Score a run of whole posts as one micro-batch, resolve futures."""
@@ -621,7 +596,7 @@ class ScoringServer:
                 )
             except (OSError, KeyError, ValueError):
                 continue  # half-published version: retry next poll
-            self._wakeup.set()  # an idle flusher applies it promptly
+            self._wakeup.set()  # an idle flusher applies it at once
 
     def _poll_registry(self) -> str:
         """Resolve ``LATEST`` and account torn publishes (builder thread).
@@ -678,7 +653,15 @@ class ScoringServer:
         self._writers.add(writer)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as exc:
+                    # The body's extent is unknown, so the rest of the
+                    # stream cannot be framed: answer, then hang up.
+                    await self._write_response(
+                        writer, 400, {"error": str(exc)}, False, {}
+                    )
+                    break
                 if request is None:
                     break
                 keep_alive = await self._respond(request, writer)
@@ -712,8 +695,11 @@ class ScoringServer:
                 continue
             key, _sep, value = line.partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > _MAX_HEADER_BYTES * 256:
+        raw_length = headers.get("content-length", "")
+        if raw_length and not (raw_length.isascii() and raw_length.isdigit()):
+            raise _BadRequest(f"malformed Content-Length {raw_length!r}")
+        length = int(raw_length or "0")
+        if length > _MAX_HEADER_BYTES * 256:
             raise ConnectionError("unreasonable content length")
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
@@ -793,10 +779,8 @@ class ScoringServer:
             _Post(rows=rows, explain=(path == "/explain"), future=future)
         )
         self._queued_rows += n
-        assert self._wakeup is not None and self._flush_now is not None
+        assert self._wakeup is not None
         self._wakeup.set()
-        if self._queued_rows >= self.max_batch:
-            self._flush_now.set()  # a full batch flushes immediately
         try:
             results, version = await future
         except Exception as exc:

@@ -28,6 +28,7 @@ from repro.experiments.fig5_mae_by_clinic import BoxStats, render_fig5
 from repro.experiments.fig6_local_explanations import render_fig6
 from repro.experiments.fig7_global_dependence import render_fig7
 from repro.experiments.qa_gaps import render_qa
+from repro.parallel import executor
 from tests.conftest import small_config
 
 
@@ -183,6 +184,37 @@ class TestAblations:
 
     def test_model_ablation_render(self, ctx):
         assert "ABL1" in render_model_ablation(run_model_ablation(ctx))
+
+    def test_model_ablation_honours_context_jobs(self, monkeypatch):
+        real_pool = executor.ShardedPool
+        asked: list = []
+
+        def recording_pool(*args, n_jobs=None, **kwargs):
+            asked.append(n_jobs)
+            if n_jobs != 1 and not parallel_allowed:
+                raise AssertionError(f"a pool of n_jobs={n_jobs} was asked for")
+            return real_pool(*args, n_jobs=n_jobs, **kwargs)
+
+        monkeypatch.setattr(executor, "ShardedPool", recording_pool)
+        grids = {}
+        for jobs in (1, 2):
+            # A context pinned to one job stays serial even when
+            # REPRO_JOBS asks for more.
+            parallel_allowed = jobs > 1
+            monkeypatch.setenv("REPRO_JOBS", "2" if jobs == 1 else "1")
+            asked.clear()
+            grids[jobs] = run_model_ablation(
+                ExperimentContext(
+                    seed=11,
+                    n_folds=2,
+                    cohort_config=small_config(),
+                    n_jobs=jobs,
+                )
+            )
+        # Every one of the 12 protocol runs fanned its 3 fits out over
+        # 2 workers: no model factory forced the serial fallback.
+        assert asked == [2] * 12
+        assert grids[1] == grids[2]
 
     def test_imputation_ablation_sweep(self, ctx):
         sweep = run_imputation_ablation(ctx, max_gaps=(0, 5))

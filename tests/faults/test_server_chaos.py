@@ -266,6 +266,8 @@ class TestStagedRouterLeak:
             handle.stop()
         assert server.built_routers, "expected a replacement build"
         assert all(router._closed for router in server.built_routers)
+        # Staged after the drain began: swept closed, never applied.
+        assert server.stats.swaps == 0
         for name in server.built_segments:
             try:
                 leaked = shared_memory.SharedMemory(name=name)

@@ -17,6 +17,7 @@ from repro.experiments import (
 )
 from repro.experiments.fig4_performance import render_fig4
 from repro.learning import per_clinic_results, run_protocol
+from repro.parallel import executor
 
 from tests.conftest import small_config
 
@@ -98,6 +99,25 @@ class TestOtherRunners:
             )
             # the parent re-attaches full sample sets on merge
             assert set(parallel[clinic].samples.clinics.tolist()) == {clinic}
+
+    def test_serial_clinic_runs_ignore_repro_jobs(
+        self, serial_ctx, monkeypatch
+    ):
+        samples = serial_ctx.samples("qol", "dd", True)
+        expected = per_clinic_results(samples, n_folds=2, seed=0, n_jobs=1)
+        real_pool = executor.ShardedPool
+
+        def serial_pool_only(*args, n_jobs=None, **kwargs):
+            if n_jobs != 1:
+                raise AssertionError(f"a pool of n_jobs={n_jobs} was asked for")
+            return real_pool(*args, n_jobs=n_jobs, **kwargs)
+
+        monkeypatch.setattr(executor, "ShardedPool", serial_pool_only)
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        got = per_clinic_results(samples, n_folds=2, seed=0, n_jobs=1)
+        assert {c: r.test_report.as_dict() for c, r in got.items()} == {
+            c: r.test_report.as_dict() for c, r in expected.items()
+        }
 
     def test_protocol_fold_fanout_identical(self, serial_ctx):
         samples = serial_ctx.samples("qol", "dd", False)

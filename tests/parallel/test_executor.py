@@ -10,7 +10,8 @@ from repro.parallel import (
     unpack_samples,
 )
 from repro.faults import faults_active
-from repro.parallel.executor import in_worker
+from repro.parallel import executor
+from repro.parallel.executor import MAX_JOBS, in_worker
 from repro.parallel.shared import (
     attach_shared,
     export_shared,
@@ -59,6 +60,33 @@ class TestResolveJobs:
     def test_very_negative_rejected(self):
         with pytest.raises(ValueError, match="n_jobs"):
             resolve_jobs(-2)
+
+    def test_negative_env_names_repro_jobs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "-2")
+        with pytest.raises(ValueError, match="REPRO_JOBS must be >= -1"):
+            resolve_jobs()
+
+    def test_ceiling_is_above_every_count_in_use(self):
+        # The suite, the benches and CI ask for at most 8 workers.
+        assert MAX_JOBS >= 8
+        assert resolve_jobs(MAX_JOBS) == MAX_JOBS
+
+    @pytest.mark.parametrize("count", [MAX_JOBS + 1, 10**6])
+    def test_count_above_ceiling_rejected(self, monkeypatch, count):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        with pytest.raises(ValueError, match=f"n_jobs must be <= {MAX_JOBS}"):
+            resolve_jobs(count)
+        monkeypatch.setenv("REPRO_JOBS", str(count))
+        with pytest.raises(ValueError, match=f"REPRO_JOBS must be <= {MAX_JOBS}"):
+            resolve_jobs()
+
+    def test_parallel_map_refuses_before_starting_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(executor, "ShardedPool", no_pool)
+        with pytest.raises(ValueError, match="n_jobs"):
+            parallel_map(_row_stat, range(4), n_jobs=MAX_JOBS + 1)
 
 
 class TestParallelMap:

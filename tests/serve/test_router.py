@@ -11,12 +11,14 @@ import pytest
 
 from repro.boosting import GBClassifier, GBRegressor
 from repro.faults import faults_active
+from repro.parallel.executor import MAX_JOBS
 from repro.serve import (
     ModelRegistry,
     ScoreRequest,
     ScoringRouter,
     ScoringService,
 )
+from repro.serve import router as router_module
 
 from tests.serve.test_service import explanations_equal
 
@@ -181,6 +183,24 @@ class TestRegistryAndValidation:
         model, _ = regressor
         with pytest.raises(ValueError, match="feature names"):
             ScoringRouter(model, feature_names=["a"])
+
+    @pytest.mark.parametrize("source", ["argument", "env"])
+    def test_worker_count_above_ceiling_starts_no_pool(
+        self, regressor, monkeypatch, source
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(router_module, "ShardedPool", no_pool)
+        model, _X = regressor
+        if source == "env":
+            monkeypatch.setenv("REPRO_JOBS", str(MAX_JOBS + 1))
+            with pytest.raises(ValueError, match="REPRO_JOBS must be <="):
+                ScoringRouter(model)
+        else:
+            monkeypatch.delenv("REPRO_JOBS", raising=False)
+            with pytest.raises(ValueError, match="n_jobs must be <="):
+                ScoringRouter(model, n_jobs=MAX_JOBS + 1)
 
     def test_closed_router_rejects_work(self, regressor):
         model, X = regressor

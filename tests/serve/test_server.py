@@ -9,8 +9,11 @@ within a response, saturation answers 429 with a ``Retry-After``, and a
 SIGTERM-style ``stop()`` answers everything already admitted.
 """
 
+import gc
 import http.client
 import json
+import logging
+import socket
 import threading
 import time
 
@@ -19,14 +22,17 @@ import pytest
 
 from repro.boosting import GBClassifier, GBRegressor
 from repro.faults import faults_active
+from repro.parallel.executor import MAX_JOBS
 from repro.serve import (
     ModelRegistry,
     ScoreRequest,
+    ScoringRouter,
     ScoringServer,
     ScoringService,
     ServerThread,
     result_to_wire,
 )
+from repro.serve import router as router_module
 
 FEATURES = [f"f{i}" for i in range(6)]
 
@@ -94,6 +100,45 @@ def _reference_wire(service, X, explain=False, batch=8):
     return out
 
 
+def _wait_until(predicate, timeout=10.0):
+    """Poll ``predicate`` until it holds or ``timeout`` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
+
+
+def _queued_rows(port):
+    """Rows admitted and waiting in the server's queue (``/metrics``)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port)
+    _status, _headers, metrics = _request(conn, "GET", "/metrics")
+    conn.close()
+    return metrics["queue"]["rows"]
+
+
+@pytest.fixture()
+def held_scorer(monkeypatch):
+    """Hold every router ``score_batch`` call until ``release`` is set.
+
+    Each call records its batch size in rows before it waits, so a test
+    sees what the flusher popped while it stages posts behind the hold.
+    """
+    release = threading.Event()
+    batches: list[int] = []
+    score_batch = ScoringRouter.score_batch
+
+    def held(router, requests):
+        batches.append(len(requests))
+        release.wait(timeout=30)
+        return score_batch(router, requests)
+
+    monkeypatch.setattr(ScoringRouter, "score_batch", held)
+    yield release, batches
+    release.set()
+
+
 def _assert_wire_equal(got, expected):
     """Bitwise wire equality — modulo cache bookkeeping under chaos.
 
@@ -123,7 +168,7 @@ class TestEquivalence:
         expected = _reference_wire(service, cohort_rows, explain=False)
         expected += _reference_wire(service, cohort_rows[:16], explain=True)
         server = ScoringServer(
-            registry, "reg", jobs=jobs, flush_interval=0.001, poll_interval=0
+            registry, "reg", jobs=jobs, poll_interval=0
         )
         got = []
         with ServerThread(server) as handle:
@@ -157,7 +202,7 @@ class TestEquivalence:
         service = ScoringService.from_registry(registry, "clf")
         expected = _reference_wire(service, rows, batch=10)
         server = ScoringServer(
-            registry, "clf", jobs=1, flush_interval=0.001, poll_interval=0
+            registry, "clf", jobs=1, poll_interval=0
         )
         with ServerThread(server) as handle:
             conn = http.client.HTTPConnection("127.0.0.1", handle.port)
@@ -174,7 +219,7 @@ class TestEquivalence:
         service = ScoringService.from_registry(registry, "reg")
         expected = _reference_wire(service, X[:1], explain=True, batch=1)
         server = ScoringServer(
-            registry, "reg", jobs=1, flush_interval=0.0, poll_interval=0
+            registry, "reg", jobs=1, poll_interval=0
         )
         with ServerThread(server) as handle:
             conn = http.client.HTTPConnection("127.0.0.1", handle.port)
@@ -199,7 +244,6 @@ class TestHotSwap:
             registry,
             "m",
             jobs=1,
-            flush_interval=0.001,
             poll_interval=0.05,
         )
         rows = _wire_rows(X[:4])
@@ -246,6 +290,26 @@ class TestHotSwap:
         assert server.stats.swaps == 1
         assert server.stats.errors == 0
 
+    def test_idle_server_applies_staged_swap(self, cohort, tmp_path):
+        X, y = cohort
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.publish(
+            "m", GBRegressor(n_estimators=8, max_depth=2).fit(X, y)
+        )
+        server = ScoringServer(registry, "m", jobs=1, poll_interval=0.05)
+        with ServerThread(server) as handle:
+            v2 = registry.publish(
+                "m", GBRegressor(n_estimators=12, max_depth=3).fit(X, y)
+            ).ref
+            # No post is in flight: the watcher's wake-up alone must make
+            # the flusher apply the staged router.
+            assert _wait_until(lambda: server.stats.swaps == 1, timeout=30)
+            conn = http.client.HTTPConnection("127.0.0.1", handle.port)
+            status, _headers, doc = _request(conn, "GET", "/healthz")
+            conn.close()
+        assert status == 200 and doc["version"] == v2
+        assert server.stats.posts == 0
+
     def test_pinned_tag_never_swaps(self, cohort, tmp_path):
         X, y = cohort
         registry = ModelRegistry(tmp_path / "registry")
@@ -254,8 +318,7 @@ class TestHotSwap:
         ).ref
         tag = v1.split("@", 1)[1]
         server = ScoringServer(
-            registry, "m", tag=tag, jobs=1, flush_interval=0.0,
-            poll_interval=0.05,
+            registry, "m", tag=tag, jobs=1, poll_interval=0.05
         )
         with ServerThread(server) as handle:
             registry.publish(
@@ -273,34 +336,39 @@ class TestHotSwap:
 
 class TestBackpressureAndShutdown:
     def test_429_with_retry_after_then_drain_answers_admitted(
-        self, registry, cohort
+        self, registry, cohort, held_scorer
     ):
         X, _y = cohort
-        # A long co-traveller window holds admitted rows in the queue so
-        # the bound is observable; max_queue=2 saturates after one post.
+        release, batches = held_scorer
+        # A one-row post holds the scorer, so the next post's rows stay
+        # queued and the bound is observable; max_queue=3 saturates once
+        # both are admitted.
         server = ScoringServer(
             registry,
             "reg",
             jobs=1,
-            flush_interval=30.0,
-            max_queue=2,
+            max_queue=3,
             poll_interval=0,
         )
         service = ScoringService.from_registry(registry, "reg")
+        expected_plug = _reference_wire(service, X[3:4], batch=1)
         expected = _reference_wire(service, X[:2], batch=2)
-        admitted: dict = {}
+        answers: dict = {}
 
         with ServerThread(server) as handle:
 
-            def blocked_post():
+            def blocked_post(key, rows):
                 conn = http.client.HTTPConnection("127.0.0.1", handle.port)
                 status, _headers, doc = _request(
-                    conn, "POST", "/predict", {"rows": _wire_rows(X[:2])}
+                    conn, "POST", "/predict", {"rows": _wire_rows(rows)}
                 )
-                admitted["status"], admitted["doc"] = status, doc
+                answers[key] = (status, doc)
                 conn.close()
 
-            poster = threading.Thread(target=blocked_post)
+            plug = threading.Thread(target=blocked_post, args=("plug", X[3:4]))
+            plug.start()
+            assert _wait_until(lambda: batches == [1]), "scorer never held"
+            poster = threading.Thread(target=blocked_post, args=("post", X[:2]))
             poster.start()
             # Wait until those 2 rows are admitted and queued.
             deadline = time.monotonic() + 10
@@ -318,24 +386,28 @@ class TestBackpressureAndShutdown:
             assert int(headers["retry-after"]) >= 1
             assert doc["retry_after"] == int(headers["retry-after"])
             conn.close()
-            # SIGTERM-style stop: the context manager drains the queue —
-            # the admitted post completes, bitwise-correct.
-            poster_join = poster
-        poster_join.join(timeout=30)
-        assert admitted["status"] == 200
-        _assert_wire_equal(admitted["doc"]["results"], expected)
-        assert server.stats.posts == 1
+            # SIGTERM-style stop while the scorer is still held: the
+            # context manager drains the queue once the hold lifts — the
+            # admitted post completes, bitwise-correct.
+            releaser = threading.Timer(0.2, release.set)
+            releaser.start()
+        for thread in (releaser, plug, poster):
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert answers["post"][0] == 200
+        _assert_wire_equal(answers["post"][1]["results"], expected)
+        assert answers["plug"][0] == 200
+        _assert_wire_equal(answers["plug"][1]["results"], expected_plug)
+        assert batches == [1, 2]
+        assert server.stats.posts == 2
         assert server.stats.errors == 0
 
-    def test_shutdown_drops_no_inflight_posts(self, registry, cohort):
+    def test_shutdown_drops_no_inflight_posts(
+        self, registry, cohort, held_scorer
+    ):
         X, _y = cohort
-        server = ScoringServer(
-            registry,
-            "reg",
-            jobs=1,
-            flush_interval=0.2,
-            poll_interval=0,
-        )
+        release, batches = held_scorer
+        server = ScoringServer(registry, "reg", jobs=1, poll_interval=0)
         outcomes = []
         lock = threading.Lock()
 
@@ -359,19 +431,93 @@ class TestBackpressureAndShutdown:
             ]
             for t in posters:
                 t.start()
-            time.sleep(0.05)  # posts are admitted, batch window open
+            # Every post is admitted: the first batch holds the scorer
+            # and the rest wait in the queue.
+            assert _wait_until(
+                lambda: len(batches) == 1
+                and batches[0] + _queued_rows(handle.port) == 12
+            ), "posts were never all admitted"
             # Exiting the context manager is the SIGTERM path: stop()
-            # drains every admitted post before teardown.
-        for t in posters:
+            # begins while the scorer is held and drains every admitted
+            # post before teardown.
+            releaser = threading.Timer(0.2, release.set)
+            releaser.start()
+        for t in [releaser, *posters]:
             t.join(timeout=30)
+            assert not t.is_alive()
         assert len(outcomes) == 3
         assert all(status == 200 and n == 4 for status, n in outcomes)
         assert server.stats.posts == 3
 
+    def test_posts_arriving_during_a_batch_form_one_next_batch(
+        self, registry, cohort, held_scorer
+    ):
+        X, _y = cohort
+        release, batches = held_scorer
+        server = ScoringServer(registry, "reg", jobs=1, poll_interval=0)
+        service = ScoringService.from_registry(registry, "reg")
+        spans = [(0, 1), (1, 3), (3, 6), (6, 10)]
+        expected = {
+            lo: _reference_wire(service, X[lo:hi], batch=hi - lo)
+            for lo, hi in spans
+        }
+        answers: dict = {}
+
+        with ServerThread(server) as handle:
+
+            def post(lo, hi):
+                conn = http.client.HTTPConnection("127.0.0.1", handle.port)
+                answers[lo] = _request(
+                    conn, "POST", "/predict", {"rows": _wire_rows(X[lo:hi])}
+                )
+                conn.close()
+
+            first = threading.Thread(target=post, args=spans[0])
+            first.start()
+            # An idle flusher scores the first post at once, alone.
+            assert _wait_until(lambda: batches == [1]), "scorer never held"
+            followers = [
+                threading.Thread(target=post, args=span) for span in spans[1:]
+            ]
+            for t in followers:
+                t.start()
+            assert _wait_until(lambda: _queued_rows(handle.port) == 9)
+            release.set()
+            for t in [first, *followers]:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        # The three posts that queued behind the held batch form exactly
+        # one next batch, of whole posts.
+        assert batches == [1, 9]
+        assert server.stats.micro_batches == 2
+        for lo, _hi in spans:
+            status, _headers, doc = answers[lo]
+            assert status == 200
+            _assert_wire_equal(doc["results"], expected[lo])
+
+    @pytest.mark.parametrize("source", ["argument", "env"])
+    def test_worker_count_above_ceiling_fails_construction(
+        self, registry, monkeypatch, source
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(router_module, "ShardedPool", no_pool)
+        if source == "env":
+            monkeypatch.setenv("REPRO_JOBS", str(MAX_JOBS + 1))
+            with pytest.raises(ValueError, match="REPRO_JOBS must be <="):
+                ScoringServer(registry, "reg", poll_interval=0)
+        else:
+            monkeypatch.delenv("REPRO_JOBS", raising=False)
+            with pytest.raises(ValueError, match="n_jobs must be <="):
+                ScoringServer(
+                    registry, "reg", jobs=MAX_JOBS + 1, poll_interval=0
+                )
+
     def test_post_after_stop_is_refused(self, registry, cohort):
         X, _y = cohort
         server = ScoringServer(
-            registry, "reg", jobs=1, flush_interval=0.0, poll_interval=0
+            registry, "reg", jobs=1, poll_interval=0
         )
         with ServerThread(server) as handle:
             port = handle.port
@@ -394,7 +540,6 @@ class TestProtocolErrors:
             registry,
             "reg",
             jobs=1,
-            flush_interval=0.0,
             max_batch=8,
             poll_interval=0,
         )
@@ -457,6 +602,35 @@ class TestProtocolErrors:
         assert status == 413
         assert "at most 8 rows" in doc["error"]
 
+    @pytest.mark.parametrize("length", ["abc", "1e3", "-5", "+4", "4 4"])
+    def test_malformed_content_length_is_400_and_closes(
+        self, handle, conn, length, caplog
+    ):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=10
+            ) as sock:
+                sock.sendall(
+                    (
+                        "POST /predict HTTP/1.1\r\nHost: test\r\n"
+                        f"Content-Length: {length}\r\n\r\n"
+                    ).encode("latin-1")
+                )
+                reply = b""
+                while chunk := sock.recv(65536):  # the server hangs up
+                    reply += chunk
+            head, _sep, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert b"Connection: close" in head.split(b"\r\n")
+            assert "Content-Length" in json.loads(body)["error"]
+            # The server keeps serving other connections.
+            status, _headers, doc = _request(
+                conn, "POST", "/predict", {"rows": [[1.0] * 6]}
+            )
+            assert status == 200 and len(doc["results"]) == 1
+            gc.collect()  # surface any never-retrieved handler exception
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_empty_rows_answer_empty(self, conn):
         status, _headers, doc = _request(
             conn, "POST", "/predict", {"rows": []}
@@ -469,7 +643,7 @@ class TestMetrics:
     def test_metrics_schema_and_counters(self, registry, cohort):
         X, _y = cohort
         server = ScoringServer(
-            registry, "reg", jobs=2, flush_interval=0.001, poll_interval=0
+            registry, "reg", jobs=2, poll_interval=0
         )
         with ServerThread(server) as handle:
             conn = http.client.HTTPConnection("127.0.0.1", handle.port)
