@@ -9,8 +9,6 @@ sample sets and reports the headline metric of each.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.baselines import (
     EBMClassifier,
     EBMRegressor,
@@ -26,29 +24,19 @@ from repro.pipeline.samples import SampleSet
 __all__ = ["run_model_ablation", "render_model_ablation"]
 
 
-def _fresh(estimator: type, samples: SampleSet, **params):
-    """A model factory: a new ``estimator(**params)`` for every fit.
-
-    Bound with :func:`functools.partial` rather than written as a
-    lambda, so the factory pickles and ``run_protocol`` can fan its
-    fits out across processes.
-    """
-    return estimator(**params)
-
-
 def _factories(outcome: str) -> dict[str, object]:
     if outcome == "falls":
         return {
             "gbm": None,  # None -> default_model_factory (the GBM)
-            "ebm": partial(_fresh, EBMClassifier, n_cycles=40),
-            "linear": partial(_fresh, LogisticRegressor, alpha=1.0),
-            "dummy": partial(_fresh, MajorityClassifier),
+            "ebm": lambda s: EBMClassifier(n_cycles=40),
+            "linear": lambda s: LogisticRegressor(alpha=1.0),
+            "dummy": lambda s: MajorityClassifier(),
         }
     return {
         "gbm": None,
-        "ebm": partial(_fresh, EBMRegressor, n_cycles=40),
-        "linear": partial(_fresh, RidgeRegressor, alpha=1.0),
-        "dummy": partial(_fresh, MeanRegressor),
+        "ebm": lambda s: EBMRegressor(n_cycles=40),
+        "linear": lambda s: RidgeRegressor(alpha=1.0),
+        "dummy": lambda s: MeanRegressor(),
     }
 
 
@@ -67,12 +55,15 @@ def run_model_ablation(
         samples: SampleSet = ctx.samples(outcome, "dd", with_fi)
         row: dict[str, dict] = {}
         for name, factory in _factories(outcome).items():
+            # Only the GBM runs fan out: the baselines are cheap, and
+            # fanning them out too measured slower than fitting them
+            # in-process.
             result = run_protocol(
                 samples,
                 model_factory=factory,
                 n_folds=ctx.n_folds,
                 seed=ctx.seed,
-                n_jobs=ctx.n_jobs,
+                n_jobs=ctx.n_jobs if factory is None else 1,
             )
             row[name] = result.test_report.as_dict()
         grid[outcome] = row

@@ -17,7 +17,7 @@ the serial default:
 
 * ``1`` (default) — serial in-process execution, zero overhead;
 * ``N > 1`` — a process pool of N workers;
-* ``0`` or ``-1`` — one worker per CPU.
+* ``0`` or ``-1`` — one worker per CPU, at most :data:`MAX_JOBS`.
 
 Large shared arrays are handed to workers through POSIX shared memory
 (:mod:`repro.parallel.shared`), so a design matrix is mapped, not
@@ -73,9 +73,9 @@ __all__ = [
 
 _IN_WORKER = False
 
-#: Largest explicit worker count :func:`resolve_jobs` accepts.  Every
-#: worker is a process, so a larger ``n_jobs``/``REPRO_JOBS`` (a typo or
-#: a runaway setting) is refused rather than started.
+#: Largest worker count :func:`resolve_jobs` returns.  Every worker is a
+#: process, so a larger explicit ``n_jobs``/``REPRO_JOBS`` (a typo or a
+#: runaway setting) is refused rather than started.
 MAX_JOBS = 64
 
 
@@ -87,10 +87,11 @@ def in_worker() -> bool:
 def resolve_jobs(n_jobs: int | None = None) -> int:
     """Resolve the worker count: argument over ``REPRO_JOBS`` over 1.
 
-    ``0`` and ``-1`` mean "one per CPU"; an explicit count above
-    :data:`MAX_JOBS` is a ``ValueError``.  Inside a worker process the
-    answer is always 1 — nested pools would oversubscribe the machine
-    without changing any result.
+    ``0`` and ``-1`` mean "one per CPU", capped at :data:`MAX_JOBS` so
+    that a resolved count resolves to itself again; an explicit count
+    above :data:`MAX_JOBS` is a ``ValueError``.  Inside a worker process
+    the answer is always 1 — nested pools would oversubscribe the
+    machine without changing any result.
     """
     if _IN_WORKER:
         return 1
@@ -107,7 +108,7 @@ def resolve_jobs(n_jobs: int | None = None) -> int:
                 f"REPRO_JOBS must be an integer, got {raw!r}"
             ) from None
     if n_jobs in (0, -1):
-        return os.cpu_count() or 1
+        return min(os.cpu_count() or 1, MAX_JOBS)
     if n_jobs < -1:
         raise ValueError(f"{source} must be >= -1, got {n_jobs}")
     if n_jobs > MAX_JOBS:

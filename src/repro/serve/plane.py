@@ -88,6 +88,8 @@ class ModelPlane:
                 "model carries no fitted BinMapper (mapper_); reload it "
                 "through the registry (format v2) or refit"
             )
+        # Checked on the trees themselves: model_to_arrays reuses a
+        # cached node table (``compact_``) without rebuilding it.
         if any(t.bin_threshold is None for t in model.ensemble_.trees):
             raise ValueError(
                 "model trees carry no bin thresholds; the scoring plane "

@@ -27,6 +27,10 @@ def _worker_probe(item, shared):
     return (in_worker(), resolve_jobs(8), shared["X"].flags.writeable)
 
 
+def _echo(item, state):
+    return item
+
+
 def _boom(item, shared):
     if item == 2:
         raise ValueError("unit 2 failed")
@@ -79,6 +83,37 @@ class TestResolveJobs:
         monkeypatch.setenv("REPRO_JOBS", str(count))
         with pytest.raises(ValueError, match=f"REPRO_JOBS must be <= {MAX_JOBS}"):
             resolve_jobs()
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_per_cpu_count_capped_at_ceiling(self, monkeypatch, count):
+        monkeypatch.setattr(executor.os, "cpu_count", lambda: 2 * MAX_JOBS)
+        assert resolve_jobs(count) == MAX_JOBS
+        # Each layer (server, router, pool) resolves the count again.
+        assert resolve_jobs(resolve_jobs(count)) == MAX_JOBS
+
+    def test_parallel_map_per_cpu_on_a_big_host(self, monkeypatch):
+        seen = []
+
+        class RecordingPool:
+            """Resolves its count like ShardedPool; starts nothing."""
+
+            def __init__(self, *, n_jobs, **kwargs):
+                seen.append(resolve_jobs(n_jobs))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def scatter(self, fn, tasks):
+                return [fn(item, {}) for _shard, item in tasks]
+
+        monkeypatch.setattr(executor.os, "cpu_count", lambda: 2 * MAX_JOBS)
+        monkeypatch.setattr(executor, "ShardedPool", RecordingPool)
+        items = list(range(MAX_JOBS + 36))
+        assert parallel_map(_echo, items, n_jobs=-1) == items
+        assert seen == [MAX_JOBS]
 
     def test_parallel_map_refuses_before_starting_a_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -11,7 +11,8 @@ import pytest
 
 from repro.boosting import GBClassifier, GBRegressor
 from repro.faults import faults_active
-from repro.parallel.executor import MAX_JOBS
+from repro.parallel import executor
+from repro.parallel.executor import MAX_JOBS, resolve_jobs
 from repro.serve import (
     ModelRegistry,
     ScoreRequest,
@@ -201,6 +202,28 @@ class TestRegistryAndValidation:
             monkeypatch.delenv("REPRO_JOBS", raising=False)
             with pytest.raises(ValueError, match="n_jobs must be <="):
                 ScoringRouter(model, n_jobs=MAX_JOBS + 1)
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_per_cpu_count_on_a_big_host(self, regressor, monkeypatch, n_jobs):
+        seen = []
+
+        class RecordingPool:
+            """Resolves its count like ShardedPool; starts nothing."""
+
+            def __init__(self, *, n_jobs, **kwargs):
+                self.workers = resolve_jobs(n_jobs)
+                seen.append(self.workers)
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(executor.os, "cpu_count", lambda: 2 * MAX_JOBS)
+        monkeypatch.setattr(router_module, "ShardedPool", RecordingPool)
+        model, _X = regressor
+        router = ScoringRouter(model, n_jobs=n_jobs)
+        router.close()
+        assert seen == [MAX_JOBS]
+        assert router.workers == MAX_JOBS
 
     def test_closed_router_rejects_work(self, regressor):
         model, X = regressor

@@ -22,7 +22,8 @@ import pytest
 
 from repro.boosting import GBClassifier, GBRegressor
 from repro.faults import faults_active
-from repro.parallel.executor import MAX_JOBS
+from repro.parallel import executor
+from repro.parallel.executor import MAX_JOBS, resolve_jobs
 from repro.serve import (
     ModelRegistry,
     ScoreRequest,
@@ -513,6 +514,24 @@ class TestBackpressureAndShutdown:
                 ScoringServer(
                     registry, "reg", jobs=MAX_JOBS + 1, poll_interval=0
                 )
+
+    def test_per_cpu_count_on_a_big_host(self, registry, monkeypatch):
+        class RecordingPool:
+            """Resolves its count like ShardedPool; starts nothing."""
+
+            def __init__(self, *, n_jobs, **kwargs):
+                self.workers = resolve_jobs(n_jobs)
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(executor.os, "cpu_count", lambda: 2 * MAX_JOBS)
+        monkeypatch.setattr(router_module, "ShardedPool", RecordingPool)
+        server = ScoringServer(registry, "reg", jobs=0, poll_interval=0)
+        # The router a start or a hot swap builds resolves the count again.
+        router = server._build_router(None)
+        router.close()
+        assert router.workers == MAX_JOBS
 
     def test_post_after_stop_is_refused(self, registry, cohort):
         X, _y = cohort
