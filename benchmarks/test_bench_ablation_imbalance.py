@@ -5,21 +5,14 @@ raises minority (True) recall while precision decreases — the standard
 imbalance trade-off, quantified on the paper's Falls task.
 """
 
-from benchmarks.conftest import record, record_bench, timed
+from benchmarks.conftest import record
 from repro.experiments import run_imbalance_ablation
 from repro.experiments.ablation_imbalance import render_imbalance_ablation
 
 
-def test_falls_class_weighting(benchmark, ctx, results_dir):
-    runner = timed(run_imbalance_ablation)
-    sweep = benchmark.pedantic(runner, args=(ctx,), rounds=1, iterations=1)
+def test_falls_class_weighting(ctx, results_dir):
+    sweep = run_imbalance_ablation(ctx)
     record(results_dir, "ablation_imbalance", render_imbalance_ablation(sweep))
-    record_bench(
-        results_dir,
-        "ablation_imbalance",
-        min(runner.times),
-        config={"seed": ctx.seed, "pos_weights": sorted(sweep)},
-    )
 
     weights = sorted(sweep)
     # Highest weight recalls more fallers than the unweighted model.

@@ -6,27 +6,14 @@ better around the paper's chosen bound (5), justifying it as the safe
 maximum.
 """
 
-from benchmarks.conftest import record, record_bench, timed
+from benchmarks.conftest import record
 from repro.experiments import run_imputation_ablation
 from repro.experiments.ablation_imputation import render_imputation_ablation
 
 
-def test_imputation_bound_ablation(benchmark, ctx, results_dir):
-    runner = timed(run_imputation_ablation)
-    sweep = benchmark.pedantic(
-        runner,
-        args=(ctx,),
-        kwargs={"max_gaps": (0, 1, 3, 5, 9, 17)},
-        rounds=1,
-        iterations=1,
-    )
+def test_imputation_bound_ablation(ctx, results_dir):
+    sweep = run_imputation_ablation(ctx, max_gaps=(0, 1, 3, 5, 9, 17))
     record(results_dir, "ablation_imputation", render_imputation_ablation(sweep))
-    record_bench(
-        results_dir,
-        "ablation_imputation",
-        min(runner.times),
-        config={"seed": ctx.seed, "max_gaps": [0, 1, 3, 5, 9, 17]},
-    )
 
     sizes = [sweep[g]["n_samples"] for g in (0, 1, 3, 5, 9, 17)]
     assert sizes == sorted(sizes)  # retention monotone in the bound

@@ -5,21 +5,14 @@ the GA2M-style EBM and the linear baseline on every outcome, and every
 real model clears the dummy floor.
 """
 
-from benchmarks.conftest import record, record_bench, timed
+from benchmarks.conftest import record
 from repro.experiments import run_model_ablation
 from repro.experiments.ablation_models import render_model_ablation
 
 
-def test_model_family_ablation(benchmark, ctx, results_dir):
-    runner = timed(run_model_ablation)
-    grid = benchmark.pedantic(runner, args=(ctx,), rounds=1, iterations=1)
+def test_model_family_ablation(ctx, results_dir):
+    grid = run_model_ablation(ctx)
     record(results_dir, "ablation_models", render_model_ablation(grid))
-    record_bench(
-        results_dir,
-        "ablation_models",
-        min(runner.times),
-        config={"seed": ctx.seed, "models": ["gbm", "ebm", "linear", "dummy"]},
-    )
 
     for outcome, row in grid.items():
         key = "accuracy" if outcome == "falls" else "one_minus_mape"

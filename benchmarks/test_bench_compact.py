@@ -14,20 +14,18 @@ Two numbers on the Fig. 4 model family (the reproduction's default
   (amortised over all trees) replaces ``n_trees x depth`` of them, so
   the win grows as batches shrink toward the single-visit case.
 
-Both are recorded to ``results/bench.json`` (``model_nodes``,
-``model_bytes``, ``compression_ratio``) next to the wall time, with
-bitwise identity between the two paths asserted on every batch.
+Both floors are asserted, with bitwise identity between the two paths
+on every batch shape.  The model footprint of a published version is
+in the registry's ``compaction`` metadata (``repro serve versions``).
 """
 
 import time
 
 import numpy as np
 
-from benchmarks.conftest import record, record_bench
-
 #: Requests per service micro-batch (matches the serve bench).
 MICRO_BATCH = 64
-#: Timing repetitions; best-of is reported.
+#: Timing repetitions; the best of each path is compared.
 ROUNDS = 15
 
 
@@ -40,7 +38,7 @@ def _best_of(fn, rounds=ROUNDS):
     return min(times)
 
 
-def test_compact_dag_compression_and_speedup(ctx, results_dir):
+def test_compact_dag_compression_and_speedup(ctx):
     samples = ctx.samples("sppb", "dd", with_fi=True)
     result = ctx.result("sppb", "dd", with_fi=True)
     model = result.model
@@ -63,44 +61,13 @@ def test_compact_dag_compression_and_speedup(ctx, results_dir):
         lambda: model.ensemble_.predict_raw_binned(batch, missing_bin)
     )
     t_dag = _best_of(lambda: compact.predict_raw_binned(batch, missing_bin))
-    one = codes[:1]
-    t_tree_1 = _best_of(
-        lambda: model.ensemble_.predict_raw_binned(one, missing_bin)
-    )
-    t_dag_1 = _best_of(lambda: compact.predict_raw_binned(one, missing_bin))
 
     speedup = t_tree / t_dag
-    speedup_1 = t_tree_1 / t_dag_1
-    record(
-        results_dir,
-        "compact_dag",
-        (
-            "COMPACT bench (hash-consed DAG vs per-tree ensemble)\n"
-            f"  model: {stats['n_trees']} trees, {stats['nodes']} source "
-            f"nodes -> {stats['table_rows']} shared table rows "
-            f"({stats['ratio']:.2f}x compression, target >= 1.2x), "
-            f"{stats['nbytes']} table bytes\n"
-            f"  micro-batch ({MICRO_BATCH} rows): per-tree "
-            f"{t_tree * 1e3:.2f} ms, fused DAG {t_dag * 1e3:.2f} ms "
-            f"({speedup:.1f}x)\n"
-            f"  single visit (1 row):   per-tree {t_tree_1 * 1e3:.2f} ms, "
-            f"fused DAG {t_dag_1 * 1e3:.2f} ms ({speedup_1:.1f}x)\n"
-            "  bitwise identity asserted on both batch shapes"
-        ),
+    assert stats["ratio"] >= 1.2, (
+        f"compression {stats['ratio']:.2f}x < 1.2x: {stats['nodes']} "
+        f"source nodes -> {stats['table_rows']} table rows"
     )
-    record_bench(
-        results_dir,
-        "compact_dag",
-        t_dag,
-        speedup=speedup,
-        config={
-            "trees": stats["n_trees"],
-            "micro_batch": MICRO_BATCH,
-            "single_row_speedup": round(speedup_1, 2),
-        },
-        model_nodes=stats["nodes"],
-        model_bytes=stats["nbytes"],
-        compression_ratio=stats["ratio"],
+    assert speedup >= 1.2, (
+        f"{MICRO_BATCH}-row predict speedup {speedup:.2f}x < 1.2x: "
+        f"per-tree {t_tree * 1e3:.2f} ms, fused DAG {t_dag * 1e3:.2f} ms"
     )
-    assert stats["ratio"] >= 1.2
-    assert speedup >= 1.2

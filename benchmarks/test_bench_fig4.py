@@ -5,21 +5,14 @@ helps both arms; the Falls minority-class recall collapses for KD and
 recovers with FI (paper: KD w/o FI recall-True = 2 %).
 """
 
-from benchmarks.conftest import record, record_bench, timed
+from benchmarks.conftest import record
 from repro.experiments import run_fig4
 from repro.experiments.fig4_performance import render_fig4
 
 
-def test_fig4_dd_vs_kd(benchmark, ctx, results_dir):
-    runner = timed(run_fig4)
-    grid = benchmark.pedantic(runner, args=(ctx,), rounds=1, iterations=1)
+def test_fig4_dd_vs_kd(ctx, results_dir):
+    grid = run_fig4(ctx)
     record(results_dir, "fig4_performance", render_fig4(grid))
-    record_bench(
-        results_dir,
-        "fig4_performance",
-        min(runner.times),
-        config={"seed": ctx.seed, "n_folds": ctx.n_folds, "cells": 12},
-    )
 
     for outcome in ("qol", "sppb"):
         cells = grid[outcome]

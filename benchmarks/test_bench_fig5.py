@@ -5,21 +5,14 @@ SPPB; the Hong Kong group is smaller and (relative to its size) more
 outlier-prone than Modena/Sydney.
 """
 
-from benchmarks.conftest import record, record_bench, timed
+from benchmarks.conftest import record
 from repro.experiments import run_fig5
 from repro.experiments.fig5_mae_by_clinic import render_fig5
 
 
-def test_fig5_mae_by_clinic(benchmark, ctx, results_dir):
-    runner = timed(run_fig5)
-    result = benchmark.pedantic(runner, args=(ctx,), rounds=1, iterations=1)
+def test_fig5_mae_by_clinic(ctx, results_dir):
+    result = run_fig5(ctx)
     record(results_dir, "fig5_mae_by_clinic", render_fig5(result))
-    record_bench(
-        results_dir,
-        "fig5_mae_by_clinic",
-        min(runner.times),
-        config={"seed": ctx.seed},
-    )
 
     for outcome in ("qol", "sppb"):
         groups = result[outcome]

@@ -9,22 +9,15 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import record, record_bench, timed
+from benchmarks.conftest import record
 from repro.experiments import run_fig6
 from repro.experiments.fig6_local_explanations import render_fig6
 from repro.explain import ReferenceTreeShapExplainer, TreeShapExplainer
 
 
-def test_fig6_local_explanations(benchmark, ctx, results_dir):
-    runner = timed(run_fig6)
-    pair = benchmark.pedantic(runner, args=(ctx,), rounds=1, iterations=1)
+def test_fig6_local_explanations(ctx, results_dir):
+    pair = run_fig6(ctx)
     record(results_dir, "fig6_local_explanations", render_fig6(pair))
-    record_bench(
-        results_dir,
-        "fig6_local_explanations",
-        min(runner.times),
-        config={"seed": ctx.seed},
-    )
 
     assert pair.patient_a != pair.patient_b
     assert abs(pair.prediction_a - pair.prediction_b) <= 0.25
@@ -37,13 +30,13 @@ def test_fig6_local_explanations(benchmark, ctx, results_dir):
     assert pair.explanation_a.positive() or pair.explanation_a.negative()
 
 
-def test_fig6_shap_engine_speedup(ctx, results_dir):
+def test_fig6_shap_engine_speedup(ctx):
     """Batched vs recursive TreeSHAP at the Fig. 6 configuration.
 
     The batched engine explains the full 220-sample held-out block; the
     recursive reference is timed on a 24-sample slice (it is far too
-    slow for the full block) and compared per row.  The tentpole target
-    is a >= 10x wall-time speedup; in practice it is ~100x.
+    slow for the full block) and compared per row.  The floor is a
+    >= 10x per-row speedup; in practice it is ~100x.
     """
     result = ctx.result("sppb", "dd", with_fi=True)
     X = result.samples.X[result.test_idx[:220]]
@@ -62,30 +55,11 @@ def test_fig6_shap_engine_speedup(ctx, results_dir):
 
     assert np.allclose(phi[:n_ref], phi_ref, atol=1e-10)
     speedup = (t_reference / n_ref) / (t_batched / X.shape[0])
-    record(
-        results_dir,
-        "fig6_shap_engine_speedup",
-        (
-            "FIG6 explain bench (batched vs recursive TreeSHAP)\n"
-            f"  config: {len(result.model.ensemble_.trees)} trees, "
-            f"X = {X.shape[0]}x{X.shape[1]}\n"
-            f"  batched: {t_batched:.3f}s for {X.shape[0]} rows\n"
-            f"  recursive: {t_reference:.3f}s for {n_ref} rows\n"
-            f"  per-row speedup: {speedup:.1f}x (target >= 10x)"
-        ),
+    assert speedup >= 10.0, (
+        f"per-row speedup {speedup:.1f}x < 10x: batched {t_batched:.3f}s "
+        f"for {X.shape[0]} rows, recursive {t_reference:.3f}s for "
+        f"{n_ref} rows"
     )
-    record_bench(
-        results_dir,
-        "fig6_shap_engine_speedup",
-        t_batched,
-        speedup=speedup,
-        config={
-            "trees": len(result.model.ensemble_.trees),
-            "rows": int(X.shape[0]),
-            "features": int(X.shape[1]),
-        },
-    )
-    assert speedup >= 10.0
 
 
 def _timed(fn) -> float:

@@ -5,21 +5,14 @@ patient (max 284), and roughly 2,250 of 4,176 possible samples retained
 at the paper's interpolation bound of 5.
 """
 
-from benchmarks.conftest import record, record_bench, timed
+from benchmarks.conftest import record
 from repro.experiments import run_qa
 from repro.experiments.qa_gaps import render_qa
 
 
-def test_qa_gaps_and_retention(benchmark, ctx, results_dir):
-    runner = timed(run_qa)
-    result = benchmark.pedantic(runner, args=(ctx,), rounds=1, iterations=1)
+def test_qa_gaps_and_retention(ctx, results_dir):
+    result = run_qa(ctx)
     record(results_dir, "qa_gaps", render_qa(result))
-    record_bench(
-        results_dir,
-        "qa_gaps",
-        min(runner.times),
-        config={"seed": ctx.seed, "max_gaps": [0, 1, 3, 5, 9, 17]},
-    )
 
     report = result["gap_report"]
     # Calibration targets from the paper's QA paragraph.

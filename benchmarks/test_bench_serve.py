@@ -14,17 +14,13 @@ an order of magnitude on top.  The multi-worker bench routes the same
 workload through the :class:`~repro.serve.router.ScoringRouter` at
 ``REPRO_JOBS=4`` — asserting bitwise-identical answers always, and a
 >= 2x throughput win over the single-process service above 2 cores.
-Every serving entry records p50/p95/p99 per-request latency next to the
-wall time, so ``results/bench.json`` captures tail latency, not just
-throughput.
+Steady serving throughput and latency are ``perfbench``'s
+``serve_cold`` and ``serve_hot`` workloads.
 """
 
 import os
 import time
 
-import numpy as np
-
-from benchmarks.conftest import latency_percentiles, record, record_bench
 from repro.explain import TreeShapExplainer, local_reports
 from repro.serve import (
     ModelRegistry,
@@ -53,26 +49,19 @@ def _naive_pass(model, explainer, stream, feature_names):
 
 
 def _service_pass(target, stream):
-    """Micro-batched scoring of a stream (service or router front).
-
-    Returns ``(ScoreResults, per-request latencies)``: every request in
-    a micro-batch observes that batch's wall time — the latency a
-    caller coalesced into the batch would see.
-    """
+    """Micro-batched scoring of a stream (service or router front)."""
     out = []
-    latencies = []
     for start in range(0, len(stream), MICRO_BATCH):
         block = stream[start : start + MICRO_BATCH]
-        t0 = time.perf_counter()
-        results = target.score_batch(
-            [ScoreRequest(row=row, explain=True) for row in block]
+        out.extend(
+            target.score_batch(
+                [ScoreRequest(row=row, explain=True) for row in block]
+            )
         )
-        latencies.extend([time.perf_counter() - t0] * len(block))
-        out.extend(results)
-    return out, latencies
+    return out
 
 
-def test_serve_repeated_cohort_throughput(ctx, results_dir, tmp_path):
+def test_serve_repeated_cohort_throughput(ctx, tmp_path):
     samples = ctx.samples("sppb", "dd", with_fi=True)
     result = ctx.result("sppb", "dd", with_fi=True)
     feature_names = list(samples.feature_names)
@@ -87,7 +76,7 @@ def test_serve_repeated_cohort_throughput(ctx, results_dir, tmp_path):
     naive_explainer = TreeShapExplainer(result.model)
 
     t0 = time.perf_counter()
-    served, latencies = _service_pass(service, stream)
+    served = _service_pass(service, stream)
     t_service = time.perf_counter() - t0
 
     # The per-request path is slow enough that (like the Fig. 6 bench)
@@ -110,43 +99,13 @@ def test_serve_repeated_cohort_throughput(ctx, results_dir, tmp_path):
 
     n = len(stream)
     speedup = (t_naive / n_naive) / (t_service / n)
-    cache = service.cache_stats
-    tail = latency_percentiles(latencies)
-    record(
-        results_dir,
-        "serve_throughput",
-        (
-            "SERVE bench (micro-batched + cached vs per-request scoring)\n"
-            f"  model: {result.model.ensemble_.n_trees} trees, "
-            f"{len(cohort_rows)} distinct patients x {REVISITS} visits "
-            f"= {n} requests (predict + top-5 SHAP report each)\n"
-            f"  naive per-request: {t_naive:.3f}s for {n_naive} requests "
-            f"({n_naive / t_naive:.0f} req/s)\n"
-            f"  scoring service:   {t_service:.3f}s for {n} requests "
-            f"({n / t_service:.0f} req/s), cache hit rate "
-            f"{100 * cache.hit_rate:.0f}%\n"
-            f"  request latency: p50 {tail['p50']:.2f} ms, "
-            f"p95 {tail['p95']:.2f} ms, p99 {tail['p99']:.2f} ms\n"
-            f"  per-request speedup: {speedup:.1f}x (target >= 5x)"
-        ),
+    assert speedup >= 5.0, (
+        f"per-request speedup {speedup:.1f}x < 5x: naive {t_naive:.3f}s "
+        f"for {n_naive} requests, service {t_service:.3f}s for {n}"
     )
-    record_bench(
-        results_dir,
-        "serve_throughput",
-        t_service,
-        speedup=speedup,
-        config={
-            "requests": n,
-            "distinct_rows": n_naive,
-            "revisits": REVISITS,
-            "micro_batch": MICRO_BATCH,
-        },
-        latency_ms=tail,
-    )
-    assert speedup >= 5.0
 
 
-def test_serve_cache_hot_latency(ctx, results_dir, tmp_path):
+def test_serve_cache_hot_latency(ctx):
     """A fully warmed cache answers a whole cohort in near-zero time."""
     samples = ctx.samples("sppb", "dd", with_fi=True)
     result = ctx.result("sppb", "dd", with_fi=True)
@@ -158,38 +117,19 @@ def test_serve_cache_hot_latency(ctx, results_dir, tmp_path):
     service.score_rows(rows, explain=True)  # warm
     stream = [row for row in rows]
     t0 = time.perf_counter()
-    results, latencies = _service_pass(service, stream)
+    results = _service_pass(service, stream)
     t_hot = time.perf_counter() - t0
 
     assert len(results) == rows.shape[0]
     assert all(r.cached for r in results)
     cold = service.stats.total_seconds - t_hot
-    tail = latency_percentiles(latencies)
-    record(
-        results_dir,
-        "serve_cache_hot",
-        (
-            "SERVE cache-hot latency\n"
-            f"  {rows.shape[0]} explained visits: cold {cold * 1e3:.1f} ms, "
-            f"hot {t_hot * 1e3:.1f} ms "
-            f"({rows.shape[0] / max(t_hot, 1e-9):.0f} req/s hot)\n"
-            f"  hot request latency: p50 {tail['p50']:.3f} ms, "
-            f"p95 {tail['p95']:.3f} ms, p99 {tail['p99']:.3f} ms"
-        ),
-    )
-    record_bench(
-        results_dir,
-        "serve_cache_hot",
-        t_hot,
-        speedup=cold / max(t_hot, 1e-9),
-        config={"rows": int(rows.shape[0])},
-        latency_ms=tail,
-    )
     # The hot pass must be dramatically cheaper than the cold pass.
-    assert t_hot < cold
+    assert t_hot < cold, (
+        f"hot pass {t_hot * 1e3:.1f} ms not below cold {cold * 1e3:.1f} ms"
+    )
 
 
-def test_serve_multiworker_throughput(ctx, results_dir):
+def test_serve_multiworker_throughput(ctx):
     """4 plane-mapped workers vs the single-process service.
 
     Equivalence is asserted unconditionally (every answer bitwise
@@ -204,7 +144,7 @@ def test_serve_multiworker_throughput(ctx, results_dir):
 
     service = ScoringService(result.model, feature_names=feature_names)
     t0 = time.perf_counter()
-    single, _ = _service_pass(service, stream)
+    single = _service_pass(service, stream)
     t_single = time.perf_counter() - t0
 
     jobs = 4
@@ -215,9 +155,8 @@ def test_serve_multiworker_throughput(ctx, results_dir):
         version=service.version,
     ) as router:
         t0 = time.perf_counter()
-        routed, latencies = _service_pass(router, stream)
+        routed = _service_pass(router, stream)
         t_router = time.perf_counter() - t0
-        cache = router.cache_stats
 
     # Bitwise identity with the single-process service on the same
     # request stream: raw scores, predictions, cache hits, and every
@@ -234,39 +173,9 @@ def test_serve_multiworker_throughput(ctx, results_dir):
         )
 
     speedup = t_single / t_router
-    tail = latency_percentiles(latencies)
-    record(
-        results_dir,
-        "serve_multiworker",
-        (
-            "SERVE multi-worker bench (shared-memory plane, 4 workers)\n"
-            f"  {len(stream)} requests (predict + top-5 SHAP report), "
-            f"{cohort_rows.shape[0]} distinct rows x {REVISITS} visits\n"
-            f"  single process: {t_single:.3f}s "
-            f"({len(stream) / t_single:.0f} req/s)\n"
-            f"  router x{router.workers}:      {t_router:.3f}s "
-            f"({len(stream) / t_router:.0f} req/s), cache hit rate "
-            f"{100 * cache.hit_rate:.0f}%\n"
-            f"  request latency: p50 {tail['p50']:.2f} ms, "
-            f"p95 {tail['p95']:.2f} ms, p99 {tail['p99']:.2f} ms\n"
-            f"  speedup: {speedup:.2f}x (target >= 2x above 2 cores; "
-            f"cpus={os.cpu_count()})"
-        ),
-    )
-    record_bench(
-        results_dir,
-        "serve_multiworker",
-        t_router,
-        speedup=speedup,
-        config={
-            "requests": len(stream),
-            "distinct_rows": int(cohort_rows.shape[0]),
-            "revisits": REVISITS,
-            "micro_batch": MICRO_BATCH,
-            "jobs": jobs,
-            "cpus": os.cpu_count(),
-        },
-        latency_ms=tail,
-    )
     if (os.cpu_count() or 1) > 2:
-        assert speedup >= 2.0
+        assert speedup >= 2.0, (
+            f"speedup {speedup:.2f}x < 2x: single process {t_single:.3f}s, "
+            f"router x{router.workers} {t_router:.3f}s on "
+            f"{os.cpu_count()} CPUs"
+        )

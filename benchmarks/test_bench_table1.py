@@ -6,21 +6,14 @@ models are allowed to be anomalous (the paper observes the same and
 attributes it to cohort size).
 """
 
-from benchmarks.conftest import record, record_bench, timed
+from benchmarks.conftest import record
 from repro.experiments import run_table1
 from repro.experiments.table1_clinics import render_table1
 
 
-def test_table1_per_clinic(benchmark, ctx, results_dir):
-    runner = timed(run_table1)
-    grid = benchmark.pedantic(runner, args=(ctx,), rounds=1, iterations=1)
+def test_table1_per_clinic(ctx, results_dir):
+    grid = run_table1(ctx)
     record(results_dir, "table1_clinics", render_table1(grid))
-    record_bench(
-        results_dir,
-        "table1_clinics",
-        min(runner.times),
-        config={"seed": ctx.seed, "n_folds": ctx.n_folds, "units": 36},
-    )
 
     assert set(grid) == {"modena", "sydney", "hong_kong"}
     for clinic in ("modena", "sydney"):

@@ -52,13 +52,17 @@ def generate_outcomes(
     sppb = np.empty(len(windows), dtype=np.int64)
     falls = np.empty(len(windows), dtype=bool)
 
-    for idx, j in enumerate(windows):
-        months = cfg.window_months(int(j))
-        h = patient.window_mean(months)
-        loco = patient.window_mean(months, "locomotion")
-        vita = patient.window_mean(months, "vitality")
-        psy = patient.window_mean(months, "psychological")
+    # The window means draw nothing, so computing them up front keeps
+    # the ``outcomes`` stream's draw order.
+    months = np.array([cfg.window_months(int(j)) for j in windows])
+    health = patient.window_means(months)
+    locomotion = patient.window_means(months, "locomotion")
+    vitality = patient.window_means(months, "vitality")
+    psychological = patient.window_means(months, "psychological")
 
+    for idx, (h, loco, vita, psy) in enumerate(
+        zip(health, locomotion, vitality, psychological)
+    ):
         qol_mean = 0.30 + 0.78 * (0.40 * psy + 0.25 * vita + 0.35 * h)
         qol[idx] = float(np.clip(qol_mean + rng.normal(0.0, 0.045), 0.0, 1.0))
 

@@ -55,10 +55,17 @@ class PatientLatent:
         """Latent health at a given month."""
         return float(self.health[month])
 
-    def window_mean(self, months: list[int], domain: str | None = None) -> float:
-        """Mean latent (or domain) score over the given months."""
+    def window_means(
+        self, months: np.ndarray, domain: str | None = None
+    ) -> np.ndarray:
+        """Mean latent (or domain) score over each row of ``months``.
+
+        ``months`` is an ``(n_windows, k)`` index matrix; row ``i`` of
+        the result equals ``np.mean`` of ``path[months[i]]`` bit for bit
+        (the same pairwise sum over a contiguous row).
+        """
         path = self.health if domain is None else self.domain_scores[domain]
-        return float(np.mean(path[months]))
+        return path[months].mean(axis=1)
 
 
 def _one_patient(

@@ -73,7 +73,8 @@ from repro.serve.stats import LatencyWindow, ServerStats, metrics_payload
 
 __all__ = ["ScoringServer", "ServerThread", "result_to_wire"]
 
-_MAX_HEADER_BYTES = 65536
+#: The largest request body the server reads (16 MiB); above it, 413.
+_MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 def _null_safe(value: float | None) -> float | None:
@@ -147,7 +148,11 @@ def _parse_rows(document: object, n_features: int) -> np.ndarray:
 
 
 class _BadRequest(Exception):
-    """A request whose framing cannot be trusted: answer 400, then close."""
+    """A request whose framing cannot be trusted: answer, then close."""
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass
@@ -659,7 +664,7 @@ class ScoringServer:
                     # The body's extent is unknown, so the rest of the
                     # stream cannot be framed: answer, then hang up.
                     await self._write_response(
-                        writer, 400, {"error": str(exc)}, False, {}
+                        writer, exc.status, {"error": str(exc)}, False, {}
                     )
                     break
                 if request is None:
@@ -687,7 +692,7 @@ class ScoringServer:
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3:
-            raise ConnectionError("malformed request line")
+            raise _BadRequest(f"malformed request line {lines[0]!r}")
         method, target, _http_version = parts
         headers: dict[str, str] = {}
         for line in lines[1:]:
@@ -699,8 +704,10 @@ class ScoringServer:
         if raw_length and not (raw_length.isascii() and raw_length.isdigit()):
             raise _BadRequest(f"malformed Content-Length {raw_length!r}")
         length = int(raw_length or "0")
-        if length > _MAX_HEADER_BYTES * 256:
-            raise ConnectionError("unreasonable content length")
+        if length > _MAX_BODY_BYTES:
+            raise _BadRequest(
+                f"Content-Length {length} exceeds {_MAX_BODY_BYTES} bytes", 413
+            )
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 

@@ -4,18 +4,15 @@ The ops plane measures three things about the HTTP front end
 (:mod:`repro.serve.server`):
 
 * **Tail latency** — :class:`LatencyWindow` keeps the last N per-request
-  wall times in a fixed ring buffer and summarises them as the p50/p95/
-  p99 milliseconds the benches record (same definition as
-  ``benchmarks/conftest.py``'s ``latency_percentiles``).
+  wall times in a fixed ring buffer and summarises them as p50/p95/p99
+  milliseconds.
 * **Lifetime counters** — :class:`ServerStats` counts what the server
   did (posts answered, rows scored, micro-batches formed, rejections,
   errors, hot swaps).
 * **The wire document** — :func:`metrics_payload` assembles both, plus
-  the router/cache/admission views, into one JSON document in the same
-  entry schema as ``results/bench.json`` (``name`` / ``seconds`` /
-  ``speedup`` / ``config`` / ``latency_ms`` + serving extras), so a
-  ``GET /metrics`` sample and a recorded bench entry are directly
-  comparable.
+  the router/cache/admission views, into one JSON document (``name`` /
+  ``seconds`` / ``speedup`` / ``config`` / ``latency_ms`` + serving
+  extras).
 
 None of this reads the wall clock: every duration is a difference of
 the server's injected monotonic clock (REP002 holds in this module).
@@ -61,9 +58,8 @@ class LatencyWindow:
     def percentiles(self) -> dict[str, float]:
         """p50/p95/p99 milliseconds over the window (zeros when empty).
 
-        Matches the bench definition (``latency_percentiles`` in
-        ``benchmarks/conftest.py``): linear-interpolated percentiles of
-        the sample, scaled to milliseconds.
+        Linear-interpolated percentiles (``np.percentile``) of the
+        sample, scaled to milliseconds.
         """
         if self._count == 0:
             return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
@@ -117,14 +113,13 @@ def metrics_payload(
     workers_respawned: int = 0,
     deadline_kills: int = 0,
     half_published: int = 0,
-    name: str = "serve_http",
 ) -> dict:
     """Build one ``GET /metrics`` document.
 
-    The top-level shape is the ``results/bench.json`` entry schema —
-    ``name``, ``seconds`` (uptime), ``speedup`` (always None for a live
-    server), ``config``, ``latency_ms`` with p50/p95/p99 milliseconds —
-    extended with the serving-only sections: ``throughput_rps``,
+    The top level carries ``name`` (always ``"serve_http"``),
+    ``seconds`` (uptime), ``speedup`` (always None for a live server),
+    ``config`` and ``latency_ms`` with p50/p95/p99 milliseconds, then
+    the serving sections: ``throughput_rps``,
     ``queue`` (admission depth/bound/rejections), ``requests`` (post,
     row, batch and error counters), ``shards`` (per-cache-shard row
     occupancy and live worker count), ``cache`` (hit statistics),
@@ -134,7 +129,7 @@ def metrics_payload(
     normative reference for the fields.
     """
     return {
-        "name": name,
+        "name": "serve_http",
         "seconds": round(float(seconds), 4),
         "speedup": None,
         "config": dict(config),

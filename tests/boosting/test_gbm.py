@@ -66,6 +66,8 @@ class TestRegressor:
         X, y = regression_data
         model = GBRegressor(n_estimators=80, max_depth=3)
         model.fit(X[:500], y[:500])
+        # Without an eval set every round keeps its tree.
+        assert model.ensemble_.n_trees == 80
         pred = model.predict(X[500:])
         mae = float(np.mean(np.abs(pred - y[500:])))
         baseline = float(np.mean(np.abs(np.mean(y[:500]) - y[500:])))

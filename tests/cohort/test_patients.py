@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cohort.patients import generate_patients
+from repro.cohort import CohortConfig
+from repro.cohort.patients import PatientLatent, generate_patients
 from repro.cohort.schema import IC_DOMAINS
 from repro.synth import SeedSequenceFactory
 
@@ -94,10 +95,36 @@ class TestLatents:
         cfg, pats = patients
         p = pats[0]
         assert p.health_at(0) == pytest.approx(float(p.health[0]))
-        months = cfg.window_months(1)
-        assert p.window_mean(months) == pytest.approx(
-            float(np.mean(p.health[months]))
+        months = np.array([cfg.window_months(1)])
+        assert p.window_means(months)[0] == np.mean(p.health[months[0]])
+        assert p.window_means(months, "vitality")[0] == np.mean(
+            p.domain_scores["vitality"][months[0]]
         )
-        assert p.window_mean(months, "vitality") == pytest.approx(
-            float(np.mean(p.domain_scores["vitality"][months]))
+
+    def test_window_means_match_per_window_np_mean(self):
+        """The batched row means equal per-slice ``np.mean`` bit for bit.
+
+        Random 73-month paths (the paper-scale 72-month cohort): each of
+        the eight 8-month windows is compared against ``np.mean`` of its
+        own 1-D slice, which rounds as the outcome model expects.
+        """
+        cfg = CohortConfig(n_months=72)
+        months = np.array(
+            [cfg.window_months(j) for j in range(1, cfg.n_windows + 1)]
         )
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            path = rng.random(cfg.n_months + 1)
+            latent = PatientLatent(
+                patient_id="p",
+                clinic="c",
+                age=60,
+                years_with_hiv=10,
+                health=path,
+                domain_scores={"vitality": 1.0 - path},
+            )
+            for domain, values in ((None, path), ("vitality", 1.0 - path)):
+                expected = [np.mean(values[row]) for row in months]
+                np.testing.assert_array_equal(
+                    latent.window_means(months, domain), expected
+                )

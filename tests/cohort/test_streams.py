@@ -246,8 +246,8 @@ class TestOutcomes:
         for p in patients:
             out = generate_outcomes(cfg, p, seeds)
             sppb.extend(out["sppb"].tolist())
-            loco.extend(
-                p.window_mean(cfg.window_months(int(j)), "locomotion")
-                for j in out["window"]
+            months = np.array(
+                [cfg.window_months(int(j)) for j in out["window"]]
             )
+            loco.extend(p.window_means(months, "locomotion").tolist())
         assert np.corrcoef(sppb, loco)[0, 1] > 0.6

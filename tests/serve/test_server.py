@@ -621,34 +621,69 @@ class TestProtocolErrors:
         assert status == 413
         assert "at most 8 rows" in doc["error"]
 
-    @pytest.mark.parametrize("length", ["abc", "1e3", "-5", "+4", "4 4"])
-    def test_malformed_content_length_is_400_and_closes(
-        self, handle, conn, length, caplog
+    def _assert_answers_and_closes(
+        self, handle, conn, caplog, raw, status, error
     ):
+        """Send ``raw`` on a fresh socket; expect ``status``, then EOF.
+
+        The server must keep serving other connections, and asyncio
+        must log nothing (no handler exception escaped).
+        """
         with caplog.at_level(logging.ERROR, logger="asyncio"):
             with socket.create_connection(
                 ("127.0.0.1", handle.port), timeout=10
             ) as sock:
-                sock.sendall(
-                    (
-                        "POST /predict HTTP/1.1\r\nHost: test\r\n"
-                        f"Content-Length: {length}\r\n\r\n"
-                    ).encode("latin-1")
-                )
+                sock.sendall(raw.encode("latin-1"))
                 reply = b""
                 while chunk := sock.recv(65536):  # the server hangs up
                     reply += chunk
             head, _sep, body = reply.partition(b"\r\n\r\n")
-            assert head.startswith(b"HTTP/1.1 400 ")
+            assert head.startswith(f"HTTP/1.1 {status} ".encode())
             assert b"Connection: close" in head.split(b"\r\n")
-            assert "Content-Length" in json.loads(body)["error"]
-            # The server keeps serving other connections.
-            status, _headers, doc = _request(
+            assert error in json.loads(body)["error"]
+            got, _headers, doc = _request(
                 conn, "POST", "/predict", {"rows": [[1.0] * 6]}
             )
-            assert status == 200 and len(doc["results"]) == 1
+            assert got == 200 and len(doc["results"]) == 1
             gc.collect()  # surface any never-retrieved handler exception
         assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    @pytest.mark.parametrize("length", ["abc", "1e3", "-5", "+4", "4 4"])
+    def test_malformed_content_length_is_400_and_closes(
+        self, handle, conn, length, caplog
+    ):
+        self._assert_answers_and_closes(
+            handle,
+            conn,
+            caplog,
+            "POST /predict HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {length}\r\n\r\n",
+            400,
+            "Content-Length",
+        )
+
+    @pytest.mark.parametrize(
+        "line", ["GARBAGE", "GET /healthz", "GET / HTTP/1.1 extra"]
+    )
+    def test_malformed_request_line_is_400_and_closes(
+        self, handle, conn, line, caplog
+    ):
+        self._assert_answers_and_closes(
+            handle, conn, caplog, f"{line}\r\n\r\n", 400, "request line"
+        )
+
+    def test_oversized_content_length_is_413_and_closes(
+        self, handle, conn, caplog
+    ):
+        self._assert_answers_and_closes(
+            handle,
+            conn,
+            caplog,
+            "POST /predict HTTP/1.1\r\nHost: test\r\n"
+            "Content-Length: 99999999999\r\n\r\n",
+            413,
+            "Content-Length 99999999999",
+        )
 
     def test_empty_rows_answer_empty(self, conn):
         status, _headers, doc = _request(
@@ -678,7 +713,7 @@ class TestMetrics:
             status, _headers, metrics = _request(conn, "GET", "/metrics")
             conn.close()
         assert status == 200
-        # The bench.json entry schema, plus the serving extras.
+        # The top-level fields, plus the serving sections.
         assert metrics["name"] == "serve_http"
         assert metrics["seconds"] > 0
         assert metrics["speedup"] is None

@@ -69,10 +69,10 @@ class TestMetricsPayload:
         )
 
     def test_bench_json_entry_schema(self):
-        """Top level mirrors a results/bench.json entry."""
+        """Top level: name, uptime, speedup, config, latency_ms."""
         payload = self._payload()
         assert payload["name"] == "serve_http"
-        assert payload["seconds"] == 12.3457  # rounded like record_bench
+        assert payload["seconds"] == 12.3457  # rounded to 4 places
         assert payload["speedup"] is None
         assert payload["config"] == {"jobs": 2, "max_batch": 64}
         assert payload["latency_ms"] == {"p50": 1.235, "p95": 2.0, "p99": 3.0}
