@@ -130,7 +130,7 @@ def test_serve_cache_hot_latency(ctx):
 
 
 def test_serve_multiworker_throughput(ctx):
-    """4 plane-mapped workers vs the single-process service.
+    """4 router workers vs the single-process service.
 
     Equivalence is asserted unconditionally (every answer bitwise
     identical, cache-cold and cache-hot); the >= 2x throughput floor

@@ -28,8 +28,6 @@ __all__ = [
     "load_model",
     "mapper_to_dict",
     "mapper_from_dict",
-    "model_to_arrays",
-    "model_from_arrays",
 ]
 
 #: Format version written into every document.  Version 2 added the
@@ -124,12 +122,12 @@ def mapper_from_dict(doc: dict) -> BinMapper:
     return mapper
 
 
-def _model_kind(model, verb: str) -> str:
+def _model_kind(model) -> str:
     if isinstance(model, GBRegressor):
         return "regressor"
     if isinstance(model, GBClassifier):
         return "classifier"
-    raise TypeError(f"cannot {verb} {type(model).__name__}")
+    raise TypeError(f"cannot serialise {type(model).__name__}")
 
 
 def _ensure_compact(model) -> CompactEnsemble:
@@ -160,7 +158,7 @@ def model_to_dict(model) -> dict:
     statistics.  Models whose trees carry no bin thresholds (restored
     v1 documents) cannot be compacted and fall back to a v2 document.
     """
-    kind = _model_kind(model, "serialise")
+    kind = _model_kind(model)
     if model.ensemble_ is None:
         raise ValueError("model is not fitted; nothing to serialise")
     trees = model.ensemble_.trees
@@ -289,122 +287,6 @@ def model_from_dict(doc: dict):
         base_score=float(doc["base_score"]),
         trees=[_tree_from_dict(t) for t in doc["trees"]],
     )
-    return model
-
-
-#: Shared-table / per-tree arrays of the process-handoff layout.
-_DAG_TABLE_ARRAYS = (
-    ("children_left", np.int64),
-    ("children_right", np.int64),
-    ("feature", np.int64),
-    ("bin_threshold", np.int64),
-    ("missing_left", bool),
-    ("leaves_left", np.int64),
-    ("roots", np.int64),
-    ("leaf_offset", np.int64),
-    ("leaf_values", np.float64),
-)
-
-
-def model_to_arrays(model) -> tuple[dict, dict[str, np.ndarray]]:
-    """Pack a fitted estimator into flat arrays + a picklable manifest.
-
-    The JSON document (:func:`model_to_dict`) is the *persistence*
-    format; this is the *process-handoff* format: the model's working
-    set travels in a handful of contiguous arrays so the whole model
-    plane fits in a few POSIX shared-memory segments, and the manifest
-    carries only scalars.  The packing is the hash-consed shared node
-    table (``dag:*`` arrays) plus per-tree canonical-order
-    ``cover``/``threshold`` statistics; the deduplicated table is what
-    every scoring worker maps.  The trees must carry bin-space
-    thresholds (``ValueError`` otherwise, from the table build).
-
-    :func:`model_from_arrays` rebuilds the estimator with **zero-copy
-    views** into the given arrays — N scoring workers map one exported
-    plane instead of each unpickling a full copy.
-    """
-    kind = _model_kind(model, "pack")
-    if model.ensemble_ is None:
-        raise ValueError("model is not fitted; nothing to pack")
-    trees = model.ensemble_.trees
-    compact = _ensure_compact(model)
-    arrays = {
-        f"dag:{name}": np.asarray(getattr(compact, name), dtype=dtype)
-        for name, dtype in _DAG_TABLE_ARRAYS
-    }
-    perms = [canonical_order(t) for t in trees]
-    arrays["tree:cover"] = np.concatenate(
-        [t.cover[perm] for t, perm in zip(trees, perms)]
-    )
-    arrays["tree:threshold"] = np.concatenate(
-        [t.threshold[perm] for t, perm in zip(trees, perms)]
-    )
-    manifest = {
-        "kind": kind,
-        "config": dataclasses.asdict(model.config),
-        "n_features": int(model.n_features_),
-        "best_iteration": model.best_iteration_,
-        "base_score": float(model.ensemble_.base_score),
-        "n_nodes": [t.n_nodes for t in trees],
-        "n_source_nodes": int(compact.n_source_nodes),
-        "mapper": None,
-    }
-    mapper = model.mapper_
-    if mapper is not None:
-        if mapper.bin_edges_ is None or mapper.n_bins_ is None:
-            raise ValueError("mapper is not fitted; cannot pack it")
-        manifest["mapper"] = {
-            "max_bins": mapper.max_bins,
-            "n_edges": [len(edges) for edges in mapper.bin_edges_],
-        }
-        arrays["mapper:edges"] = (
-            np.concatenate(mapper.bin_edges_)
-            if mapper.bin_edges_
-            else np.empty(0, dtype=np.float64)
-        )
-        arrays["mapper:n_bins"] = np.asarray(mapper.n_bins_, dtype=np.int64)
-    return manifest, arrays
-
-
-def model_from_arrays(manifest: dict, arrays: dict[str, np.ndarray]):
-    """Rebuild a fitted estimator from :func:`model_to_arrays` output.
-
-    The shared DAG table, the per-tree node statistics and every mapper
-    array are *views* (slices) of the packed arrays: nothing large is
-    copied, so arrays backed by shared memory stay shared (and
-    read-only) in the reconstructed model.  The trees are re-expanded
-    in canonical node order, and the mapped :class:`CompactEnsemble` is
-    attached as ``model.compact_``, the engine the scoring service
-    predicts through.
-    """
-    model = _new_model(manifest)
-    compact = CompactEnsemble(
-        base_score=float(manifest["base_score"]),
-        n_source_nodes=int(manifest["n_source_nodes"]),
-        **{name: arrays[f"dag:{name}"] for name, _ in _DAG_TABLE_ARRAYS},
-    )
-    covers, thresholds = [], []
-    offset = 0
-    for n in manifest["n_nodes"]:
-        covers.append(arrays["tree:cover"][offset : offset + n])
-        thresholds.append(arrays["tree:threshold"][offset : offset + n])
-        offset += n
-    model.ensemble_ = TreeEnsemble(
-        base_score=float(manifest["base_score"]),
-        trees=compact.expand(covers=covers, thresholds=thresholds),
-    )
-    model.compact_ = compact
-    mapper_info = manifest["mapper"]
-    if mapper_info is not None:
-        mapper = BinMapper(max_bins=int(mapper_info["max_bins"]))
-        edges = arrays["mapper:edges"]
-        cuts, lo = [], 0
-        for n_edges in mapper_info["n_edges"]:
-            cuts.append(edges[lo : lo + n_edges])
-            lo += n_edges
-        mapper.bin_edges_ = cuts
-        mapper.n_bins_ = arrays["mapper:n_bins"]
-        model.mapper_ = mapper
     return model
 
 

@@ -10,16 +10,16 @@ different top-5 feature sets, and returns both reports.
 from __future__ import annotations
 
 # repro: scope[row-deterministic]
-# The matched pair is selected from per-row SHAP values computed by the
-# parallel plane; nothing here may depend on how the batch was sharded.
+# The matched pair is selected from per-row SHAP values computed by a
+# row-sharded sweep; nothing here may depend on how the batch was sharded.
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.shap_sweep import parallel_shap
 from repro.explain import LocalExplanation, local_reports
-from repro.serve.plane import parallel_shap
 
 __all__ = ["MatchedPair", "run_fig6", "render_fig6"]
 
@@ -61,7 +61,7 @@ def run_fig6(
         "the same SPPB prediction".
     n_jobs:
         Workers for the SHAP sweep (default: the context's ``n_jobs``).
-        The sweep is row-sharded over the shared-memory model plane and
+        The sweep is row-sharded across the executor and
         bitwise-identical to the serial pass for every worker count.
 
     Raises

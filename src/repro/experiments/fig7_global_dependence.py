@@ -11,15 +11,15 @@ that the DD model re-discovers KD-style cutoffs automatically.
 from __future__ import annotations
 
 # repro: scope[row-deterministic]
-# The artefact is built from per-row SHAP values computed by the
-# parallel plane; nothing here may depend on how the batch was sharded.
+# The artefact is built from per-row SHAP values computed by a
+# row-sharded sweep; nothing here may depend on how the batch was sharded.
 
 import numpy as np
 
 from repro.cohort.schema import pro_item_names
 from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.shap_sweep import parallel_shap
 from repro.explain import GlobalDependence, dependence_curve
-from repro.serve.plane import parallel_shap
 
 __all__ = ["run_fig7", "render_fig7"]
 
@@ -36,8 +36,8 @@ def run_fig7(
 
     Candidates are ranked by (has a detected threshold, total |SV|
     mass); the winner's full curve is returned.  ``n_jobs`` (default:
-    the context's) row-shards the population SHAP pass over the
-    shared-memory model plane, bitwise-identical to the serial pass.
+    the context's) row-shards the population SHAP pass across the
+    executor, bitwise-identical to the serial pass.
     """
     ctx = context or default_context()
     result = ctx.result(outcome, "dd", with_fi=True)

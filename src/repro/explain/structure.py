@@ -29,14 +29,9 @@ EXTEND/UNWIND recurrences in :mod:`repro.explain.treeshap`, a row's
 SHAP values are therefore **bitwise identical no matter which batch the
 row arrives in** — the property that lets the multi-worker scoring
 plane (:mod:`repro.serve.router`) shard batches across processes and
-the parallel sweeps (:func:`repro.serve.plane.parallel_shap`) shard
-rows across the executor without changing a single output bit.
+the parallel sweeps (:func:`repro.experiments.shap_sweep.parallel_shap`)
+shard rows across the executor without changing a single output bit.
 (``tests/explain/test_row_determinism.py`` asserts it.)
-
-For shared-memory serving the per-tree summary also round-trips through
-flat arrays: :meth:`TreeStructure.to_flat` exports every field,
-:meth:`TreeStructure.from_flat` rebuilds the structure from (possibly
-shared-memory-backed, read-only) views without recomputing anything.
 
 The module also hosts the sample-routing primitives
 (:func:`node_decisions`, :func:`node_decisions_binned`) which replicate
@@ -172,22 +167,6 @@ class TreeStructure:
         "fold_starts",
         "fold_codes",
         "_pair_scatter",
-    )
-
-    #: 1-D array fields exported by :meth:`to_flat` (2-D fields are
-    #: flattened; their shapes are recovered from the scalars).
-    _FLAT_FIELDS = (
-        "leaf_values",
-        "zeros",
-        "used",
-        "feat_compact",
-        "seg_nodes",
-        "seg_dirs",
-        "seg_starts",
-        "real_cols",
-        "fold_perm",
-        "fold_starts",
-        "fold_codes",
     )
 
     def __init__(self, tree: Tree):
@@ -330,51 +309,6 @@ class TreeStructure:
         real = self.fold_codes < U
         out[:, self.fold_codes[real]] = sums[:, real]
         return out
-
-    def to_flat(self) -> tuple[dict[str, np.ndarray], dict]:
-        """Export the structure as flat arrays + picklable scalars.
-
-        Returns ``(fields, scalars)``: every array field flattened to
-        1-D (ready for concatenation into shared-memory segments) and
-        the scalars needed to reassemble shapes.  Round-trips through
-        :meth:`from_flat` without recomputation.
-        """
-        fields = {
-            name: np.ascontiguousarray(getattr(self, name)).reshape(-1)
-            for name in self._FLAT_FIELDS
-        }
-        scalars = {
-            "n_entries": int(self.n_entries),
-            "n_leaves": int(self.n_leaves),
-            "min_features": int(self.min_features),
-            "expected_value": float(self.expected_value),
-        }
-        return fields, scalars
-
-    @classmethod
-    def from_flat(
-        cls, tree: Tree, fields: dict[str, np.ndarray], scalars: dict
-    ) -> "TreeStructure":
-        """Rebuild a structure from :meth:`to_flat` output (zero-copy).
-
-        ``fields`` arrays are kept as given — views into shared-memory
-        segments stay views, so N workers can map one exported plane
-        instead of each re-deriving the path summaries.
-        """
-        self = object.__new__(cls)
-        self.tree = tree
-        self.n_entries = int(scalars["n_entries"])
-        self.n_leaves = int(scalars["n_leaves"])
-        self.min_features = int(scalars["min_features"])
-        self.expected_value = float(scalars["expected_value"])
-        self._pair_scatter = None
-        L, m = self.n_leaves, self.n_entries
-        for name in cls._FLAT_FIELDS:
-            array = fields[name]
-            if name in ("zeros", "feat_compact"):
-                array = array.reshape(L, m)
-            setattr(self, name, array)
-        return self
 
     def pair_scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sorted-group tables folding (entry, entry) pair deltas.

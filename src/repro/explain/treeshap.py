@@ -122,7 +122,7 @@ class _PreprocessedExplainer:
     per-tree decision-matrix dispatch.
     """
 
-    def __init__(self, model, structures=None):
+    def __init__(self, model):
         ensemble = getattr(model, "ensemble_", model)
         if not isinstance(ensemble, TreeEnsemble):
             raise TypeError(
@@ -138,17 +138,7 @@ class _PreprocessedExplainer:
         #: fitted model's own mapper — codes from any other mapper are
         #: meaningless against the trees' ``bin_threshold``.
         self.bin_mapper = getattr(model, "mapper_", None)
-        if structures is None:
-            structures = [TreeStructure(t) for t in ensemble.trees]
-        elif len(structures) != ensemble.n_trees:
-            raise ValueError(
-                f"got {len(structures)} prebuilt structures for an "
-                f"ensemble of {ensemble.n_trees} trees"
-            )
-        # Prebuilt structures let a shared-memory model plane
-        # (repro.serve.plane) pay the per-tree preprocessing once per
-        # version instead of once per worker process.
-        self._structures = structures
+        self._structures = [TreeStructure(t) for t in ensemble.trees]
         self._min_features = max(
             (s.min_features for s in self._structures), default=0
         )
@@ -219,8 +209,8 @@ class TreeShapExplainer(_PreprocessedExplainer):
     exactly (the efficiency axiom, property-tested).
     """
 
-    def __init__(self, model, structures=None):
-        super().__init__(model, structures)
+    def __init__(self, model):
+        super().__init__(model)
         self.expected_value = self.ensemble.base_score + sum(
             s.expected_value for s in self._structures
         )

@@ -22,15 +22,14 @@ fitted model assisting many clinical visits, scaled to heavy traffic:
     with equal codes are indistinguishable to every tree — so cache hits
     return bitwise-identical predictions and SHAP values, never
     approximations.
-``ModelPlane`` / ``ScoringRouter``
-    The multi-worker scoring plane (:mod:`repro.serve.plane`,
-    :mod:`repro.serve.router`): the plane packs a version's quantized
-    representation — tree node arrays, bin thresholds, fitted bin
-    edges, preprocessed TreeSHAP path structures — into shared memory
-    once, N workers map it, and the router shards each micro-batch of
-    heterogeneous requests by bin-code hash.  Output is
-    bitwise-identical to the single-process service for every worker
-    count.
+``ScoringRouter``
+    The multi-worker scoring plane (:mod:`repro.serve.router`): the
+    parent builds one ``ScoringService`` per version and pickles it
+    once into a byte array that rides the executor's shared-memory
+    handoff, N workers each unpickle their own empty-cache copy, and
+    the router shards each micro-batch of heterogeneous requests by
+    bin-code hash.  Output is bitwise-identical to the single-process
+    service for every worker count.
 ``ScoringServer``
     The network edge (:mod:`repro.serve.server`): an asyncio HTTP/1.1
     front end that batches posts on arrival over the router, admission
@@ -46,7 +45,6 @@ fitted model assisting many clinical visits, scaled to heavy traffic:
 
 from repro.serve.admission import AdmissionController
 from repro.serve.cache import CacheStats, LRUCache
-from repro.serve.plane import ModelPlane, parallel_shap
 from repro.serve.registry import ModelRegistry, ModelVersion, model_fingerprint
 from repro.serve.router import RouterStats, ScoringRouter
 from repro.serve.server import ScoringServer, ServerThread, result_to_wire
@@ -63,12 +61,10 @@ __all__ = [
     "CacheStats",
     "LatencyWindow",
     "LRUCache",
-    "ModelPlane",
     "ModelRegistry",
     "ModelVersion",
     "model_fingerprint",
     "metrics_payload",
-    "parallel_shap",
     "result_to_wire",
     "RouterStats",
     "ScoreRequest",

@@ -438,7 +438,7 @@ def _score_stream(args, router, version, features: list[str]) -> int:
     """Stream input chunks through the router, appending outputs.
 
     Peak memory holds one ``--chunk-rows`` chunk, its results and the
-    model plane — never the whole cohort.  Chunking does not change a
+    model — never the whole cohort.  Chunking does not change a
     single output byte (the engine is row-deterministic and the cache
     is exact), asserted by the chunked-vs-whole driver test.
     """

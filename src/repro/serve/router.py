@@ -5,9 +5,11 @@ plane.  It takes pre-coalesced micro-batches of heterogeneous
 predict/explain requests (:meth:`ScoringRouter.score_batch`; batch
 formation belongs to the caller — the HTTP server's flusher, the
 ``repro serve score`` chunk loop) and fans every micro-batch over a pool
-of scoring workers that each map the shared-memory
-:class:`~repro.serve.plane.ModelPlane` once
-(:class:`~repro.parallel.executor.ShardedPool`).
+of scoring workers (:class:`~repro.parallel.executor.ShardedPool`).
+The parent builds one :class:`~repro.serve.service.ScoringService` per
+version — model checks, fingerprint, TreeSHAP structures, the compact
+DAG — and pickles it once into a byte array that rides the pool's
+shared-memory handoff; each worker unpickles its own empty-cache copy.
 
 Sharding and the cache contract
 -------------------------------
@@ -28,12 +30,13 @@ forced eviction).
 
 Worker selection follows the executor's convention: ``n_jobs`` argument
 over ``REPRO_JOBS`` over the serial default; the serial path scores
-in-process on one plane-materialised service, with zero IPC.
+in-process on one copy of the service, with zero IPC.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -43,7 +46,6 @@ import numpy as np
 
 from repro.parallel import ShardedPool, resolve_jobs
 from repro.serve.cache import CacheStats
-from repro.serve.plane import ModelPlane
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import (
     ScoreRequest,
@@ -74,23 +76,9 @@ class RouterStats:
         return self.requests / self.total_seconds
 
 
-def _plane_service(
-    arrays: dict,
-    manifest: dict,
-    feature_names: tuple,
-    cache_size: int,
-    top_k: int,
-) -> ScoringService:
-    """Worker initializer: map the plane into one shard's service."""
-    model, explainer = ModelPlane.materialize(manifest, arrays)
-    return ScoringService(
-        model,
-        version=manifest["version"],
-        feature_names=list(feature_names),
-        cache_size=cache_size,
-        top_k=top_k,
-        explainer=explainer,
-    )
+def _worker_service(arrays: dict) -> ScoringService:
+    """Worker initializer: unpickle this shard's copy of the service."""
+    return pickle.loads(arrays["service"])
 
 
 def _score_shard(payload, service: ScoringService):
@@ -107,13 +95,13 @@ def _score_shard(payload, service: ScoringService):
 
 
 class ScoringRouter:
-    """Route request streams over N plane-mapped scoring workers.
+    """Route request streams over N scoring workers.
 
     Parameters
     ----------
     model:
         A fitted estimator carrying its ``mapper_`` and bin thresholds
-        (anything :class:`~repro.serve.plane.ModelPlane` accepts).
+        (anything :class:`~repro.serve.service.ScoringService` accepts).
     version:
         Cache-namespace tag; defaults to the model's content
         fingerprint (same convention as ``ScoringService``).
@@ -144,29 +132,25 @@ class ScoringRouter:
         top_k: int = 5,
         task_deadline: float | None = None,
     ):
-        n_jobs = resolve_jobs(n_jobs)  # a bad count fails before packing
-        plane = ModelPlane.pack(model, version=version)
-        self.version = plane.version
-        self.n_features = int(model.n_features_)
-        if feature_names is None:
-            feature_names = [f"f{i}" for i in range(self.n_features)]
-        if len(feature_names) != self.n_features:
-            raise ValueError(
-                f"got {len(feature_names)} feature names for a model "
-                f"fitted on {self.n_features} features"
-            )
-        self.feature_names = list(feature_names)
+        n_jobs = resolve_jobs(n_jobs)  # a bad count fails before the build
+        service = ScoringService(
+            model,
+            version=version,
+            feature_names=feature_names,
+            cache_size=cache_size,
+            top_k=top_k,
+        )
+        self.version = service.version
+        self.n_features = service.n_features
+        self.feature_names = service.feature_names
         self._model = model  # parent-side binning for shard routing
+        # Shipped as shared bytes, not as setup_args: under spawn,
+        # Process.start blocks on a pipe write of its args until the
+        # child has booted, which would start the workers one by one.
         self._pool = ShardedPool(
             n_jobs=n_jobs,
-            shared=plane.arrays,
-            setup=_plane_service,
-            setup_args=(
-                plane.manifest,
-                tuple(self.feature_names),
-                cache_size,
-                top_k,
-            ),
+            shared={"service": np.frombuffer(pickle.dumps(service), np.uint8)},
+            setup=_worker_service,
             task_deadline=task_deadline,
         )
         self._stats = RouterStats()
@@ -286,7 +270,7 @@ class ScoringRouter:
         )
 
     def close(self) -> None:
-        """Tear the pool down and unlink the plane (idempotent).
+        """Tear the pool down and unlink its shared segments (idempotent).
 
         :meth:`score_batch` is synchronous, so no request is in flight
         here; the HTTP server's zero-drop shutdown drains its own queue

@@ -24,8 +24,8 @@ Concurrency model
 Everything except scoring runs on the event-loop thread.  The pool is
 single-owner (see :class:`~repro.parallel.executor.ShardedPool`), so all
 router calls are funnelled through a one-thread executor (``_scorer``);
-a second one-thread executor (``_builder``) packs replacement planes in
-the background so a hot swap never stalls traffic.  The flow:
+a second one-thread executor (``_builder``) builds replacement routers
+in the background so a hot swap never stalls traffic.  The flow:
 
 * **Handlers** parse a POST, ask the :class:`~repro.serve.admission
   .AdmissionController` for queue budget (refusing with ``429`` +
@@ -39,10 +39,10 @@ the background so a hot swap never stalls traffic.  The flow:
   scorer thread and resolves each post's future.
 * **The watcher task** polls the :class:`~repro.serve.registry
   .ModelRegistry` ``LATEST`` pointer; on a new version it builds a
-  fresh router (new shm plane + workers) on the builder thread and
+  fresh router (new service + workers) on the builder thread and
   stages it.  The flusher applies staged swaps **between batches**,
   and at once when idle: zero requests are dropped, no response mixes
-  versions, and the old plane is closed only after its last batch.
+  versions, and the old router is closed only after its last batch.
 * **Shutdown** (:meth:`stop`, idempotent) stops accepting, lets the
   flusher drain every admitted post, waits for the responses to flush
   to the sockets, then tears down routers and executors — the
@@ -333,7 +333,7 @@ class ScoringServer:
     # Lifecycle.
 
     async def start(self) -> None:
-        """Pack the plane, bind the socket, start the background tasks."""
+        """Build the router, bind the socket, start the background tasks."""
         if self._router is not None or self._stopped:
             raise RuntimeError("server already started")
         self._loop = asyncio.get_running_loop()
@@ -392,7 +392,7 @@ class ScoringServer:
         # in-flight background build finishes inside _build_and_stage,
         # which stages its router (or, on a sealed slot, closes it
         # right there) — after this shutdown no router exists outside
-        # the slot, so the sweep below cannot leak a packed plane.
+        # the slot, so the sweep below cannot leak a built router.
         if self._builder is not None:
             self._builder.shutdown(wait=True)
         staged = self._staged.seal()
@@ -619,7 +619,7 @@ class ScoringServer:
         return self._registry.resolve(self._name, None)
 
     def _build_and_stage(self, tag: str) -> None:
-        """Pack a replacement plane and stage it (builder thread).
+        """Build a replacement router and stage it (builder thread).
 
         Building and staging happen on the same thread: the new router
         is never in flight between threads, so a shutdown racing the
@@ -645,7 +645,7 @@ class ScoringServer:
         if old is not None:
             self._respawned_base += old.workers_respawned
             self._deadline_base += old.deadline_kills
-            # Close on the scorer thread, after the old plane's last
+            # Close on the scorer thread, after the old router's last
             # batch — scatter and close never overlap.
             await self._loop.run_in_executor(self._scorer, old.close)
 
@@ -688,7 +688,9 @@ class ScoringServer:
         except asyncio.IncompleteReadError:
             return None  # clean EOF between keep-alive requests
         except asyncio.LimitOverrunError:
-            return None  # unreasonable header block: drop the connection
+            raise _BadRequest(
+                "request header block exceeds the stream limit", 431
+            ) from None
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3:
@@ -822,6 +824,7 @@ class ScoringServer:
             405: "Method Not Allowed",
             413: "Payload Too Large",
             429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error",
             503: "Service Unavailable",
         }

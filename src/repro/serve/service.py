@@ -191,11 +191,6 @@ class ScoringService:
         LRU capacity in rows (0 disables caching).
     top_k:
         Features per attribution report (the paper reports 5).
-    explainer:
-        Optional prebuilt :class:`TreeShapExplainer` over ``model``
-        (e.g. one materialised from a shared-memory
-        :class:`~repro.serve.plane.ModelPlane`); by default the service
-        preprocesses the trees itself.
     """
 
     def __init__(
@@ -206,7 +201,6 @@ class ScoringService:
         feature_names: Sequence[str] | None = None,
         cache_size: int = 4096,
         top_k: int = 5,
-        explainer: TreeShapExplainer | None = None,
     ):
         if getattr(model, "ensemble_", None) is None:
             raise ValueError("model is not fitted")
@@ -216,7 +210,7 @@ class ScoringService:
                 "through the registry (format v2) or refit"
             )
         self.model = model
-        self.explainer = explainer or TreeShapExplainer(model)
+        self.explainer = TreeShapExplainer(model)
         if not self.explainer.supports_binned:
             raise ValueError(
                 "model trees carry no bin thresholds; the service "
@@ -224,9 +218,8 @@ class ScoringService:
             )
         # Predict through the hash-consed DAG (one shared node table,
         # all trees advanced in one fused frontier loop) — bitwise
-        # identical to the per-tree ensemble path.  Models mapped from
-        # a ModelPlane arrive with compact_ attached; otherwise the
-        # model cons-es (and caches) its own table here.
+        # identical to the per-tree ensemble path.  The model cons-es
+        # (and caches) its own table here unless it already holds one.
         compact = getattr(model, "compact_", None)
         if compact is None and callable(getattr(model, "compact", None)):
             compact = model.compact()

@@ -15,9 +15,27 @@ from repro.tabular.column import Column, ColumnType
 
 __all__ = ["Table", "concat_tables"]
 
+
+def _nanmean(a: np.ndarray, axis: int | None = None):
+    """``np.nanmean`` without its all-NaN ``RuntimeWarning``.
+
+    Same arithmetic as NumPy's: the NaN-zeroed sum divided by the count
+    of observed values, so an all-NaN group still yields the NaN of
+    ``0.0 / 0`` bit for bit.  Non-float input goes to ``np.nanmean``.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind != "f":
+        return np.nanmean(a, axis=axis)
+    missing = np.isnan(a)
+    total = np.where(missing, 0, a).sum(axis=axis)
+    count = np.sum(~missing, axis=axis, dtype=np.intp)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (total / count).astype(a.dtype)
+
+
 #: Aggregation functions accepted by :meth:`Table.group_by`.
 _AGGREGATIONS: dict[str, Callable[[np.ndarray], float]] = {
-    "mean": lambda a: float(np.nanmean(a)),
+    "mean": lambda a: float(_nanmean(a)),
     "sum": lambda a: float(np.nansum(a)),
     "min": lambda a: float(np.nanmin(a)),
     "max": lambda a: float(np.nanmax(a)),
@@ -48,7 +66,7 @@ def _fast_reduce(ufunc_nan: Callable) -> Callable:
 #: Vectorised counterparts of the built-in aggregations (same results as
 #: the per-group path; ``std``/``median`` intentionally stay per-group).
 _FAST_AGGREGATIONS: dict[str, Callable] = {
-    "mean": _fast_reduce(np.nanmean),
+    "mean": _fast_reduce(_nanmean),
     "sum": _fast_reduce(np.nansum),
     "min": _fast_reduce(np.nanmin),
     "max": _fast_reduce(np.nanmax),

@@ -9,6 +9,8 @@ reduction (a BLAS matmul over the leaf-entry axis, say) fails here
 before it silently breaks the serving equivalence suite.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -96,33 +98,22 @@ class TestShapRowDeterminism:
         assert np.array_equal(chunked, full)
 
 
-class TestStructureFlatRoundTrip:
-    def test_to_flat_from_flat_identity(self, model_and_X):
-        model, X = model_and_X
-        for tree in model.ensemble_.trees[:8]:
-            original = TreeStructure(tree)
-            fields, scalars = original.to_flat()
-            rebuilt = TreeStructure.from_flat(tree, fields, scalars)
-            assert rebuilt.n_entries == original.n_entries
-            assert rebuilt.n_leaves == original.n_leaves
-            assert rebuilt.min_features == original.min_features
-            assert rebuilt.expected_value == original.expected_value
-            for name in TreeStructure._FLAT_FIELDS:
-                assert np.array_equal(
-                    getattr(rebuilt, name), getattr(original, name)
-                ), name
+class TestExplainerPickleRoundTrip:
+    """Pool workers receive explainers pickled by the parent; the
+    unpickled structures must explain bitwise like the originals."""
 
-    def test_rebuilt_structures_explain_bitwise(self, model_and_X):
+    def test_pickled_explainer_bitwise(self, model_and_X):
         model, X = model_and_X
-        structures = []
-        for tree in model.ensemble_.trees:
-            fields, scalars = TreeStructure(tree).to_flat()
-            structures.append(TreeStructure.from_flat(tree, fields, scalars))
-        rebuilt = TreeShapExplainer(model, structures=structures)
         baseline = TreeShapExplainer(model)
+        rebuilt = pickle.loads(pickle.dumps(baseline))
         assert rebuilt.expected_value == baseline.expected_value
         assert np.array_equal(
             rebuilt.shap_values(X[:40]), baseline.shap_values(X[:40])
+        )
+        codes = model.bin(X[:40])
+        assert np.array_equal(
+            rebuilt.shap_values_binned(codes),
+            baseline.shap_values_binned(codes),
         )
 
     def test_single_node_tree_round_trip(self):
@@ -137,15 +128,6 @@ class TestStructureFlatRoundTrip:
             value=np.array([1.25]),
             cover=np.array([10.0]),
         )
-        fields, scalars = TreeStructure(tree).to_flat()
-        rebuilt = TreeStructure.from_flat(tree, fields, scalars)
+        rebuilt = pickle.loads(pickle.dumps(TreeStructure(tree)))
         assert rebuilt.n_entries == 0
         assert rebuilt.expected_value == 1.25
-
-    def test_prebuilt_structure_count_validated(self, model_and_X):
-        model, _ = model_and_X
-        with pytest.raises(ValueError, match="prebuilt structures"):
-            TreeShapExplainer(
-                model,
-                structures=[TreeStructure(model.ensemble_.trees[0])],
-            )

@@ -9,6 +9,8 @@ the loops handled implicitly (empty patients, single-row groups, NaN
 labels).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,22 @@ class TestTableGroupByVectorised:
             want = self._loop_group_by(table, ["k"], {"v": "mean"})
         assert got["k"].tolist() == ["b", "a", "c"]
         assert_matrices_equal(got["v"], want["v"])
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 2), (1, 3, 2)])
+    def test_all_nan_group_mean_is_silent_nan(self, sizes):
+        # Equal sizes take the vectorised path, unequal ones the loop.
+        keys = np.repeat(["a", "b", "c"], sizes)
+        values = np.arange(len(keys), dtype=np.float64)
+        values[keys == "b"] = np.nan
+        table = Table({"k": keys, "v": values})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = table.group_by("k", {"v": "mean"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = np.array([np.nanmean(values[keys == k]) for k in "abc"])
+        assert np.isnan(got["v"][1])
+        assert got["v"].view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_unequal_group_sizes_match_loop(self):
         table = Table(

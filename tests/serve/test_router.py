@@ -6,10 +6,15 @@ stream the router's output is bitwise-identical to the single-process
 count.
 """
 
+import copy
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 
 from repro.boosting import GBClassifier, GBRegressor
+from repro.boosting.serialize import model_to_dict
 from repro.faults import faults_active
 from repro.parallel import executor
 from repro.parallel.executor import MAX_JOBS, resolve_jobs
@@ -18,6 +23,7 @@ from repro.serve import (
     ScoreRequest,
     ScoringRouter,
     ScoringService,
+    model_fingerprint,
 )
 from repro.serve import router as router_module
 
@@ -117,6 +123,32 @@ class TestEquivalence:
             if not faults_active():  # chaos may restart a shard cache cold
                 assert all(r.cached for r in hot)
 
+    def test_spawned_workers_bitwise_equal_to_service(self, regressor):
+        # A live second thread makes the pool start its workers with
+        # spawn, as in the HTTP server: each worker boots a fresh
+        # interpreter and unpickles the service from the shared bytes.
+        model, X = regressor
+        stream = _stream(X, revisits=2)
+        service = ScoringService(model, version="v")
+        release = threading.Event()
+        holder = threading.Thread(target=release.wait, daemon=True)
+        holder.start()
+        try:
+            assert executor._start_method() == "spawn"
+            router = ScoringRouter(model, version="v", n_jobs=2)
+        finally:
+            release.set()
+            holder.join(timeout=10)
+        assert not holder.is_alive()
+        with router:
+            assert router.workers == 2
+            for _ in range(2):  # cold, then hot
+                _assert_results_equal(
+                    _run_batched(router, stream), _run_batched(service, stream)
+                )
+            if not faults_active():  # a pinned kill leaves a slot dead
+                assert router.workers_alive == 2
+
     def test_classifier_probabilities_bitwise(self, classifier):
         model, X = classifier
         stream = _stream(X, revisits=2)
@@ -174,6 +206,11 @@ class TestRegistryAndValidation:
             results = router.score_rows(X[:5], explain=True)
         assert results[0].explanation.features[0].startswith("c")
 
+    def test_version_defaults_to_fingerprint(self, regressor):
+        model, _X = regressor
+        with ScoringRouter(model, n_jobs=1) as router:
+            assert router.version == model_fingerprint(model_to_dict(model))
+
     def test_bad_row_shape_rejected(self, regressor):
         model, _ = regressor
         with ScoringRouter(model, version="v", n_jobs=1) as router:
@@ -224,6 +261,47 @@ class TestRegistryAndValidation:
         router.close()
         assert seen == [MAX_JOBS]
         assert router.workers == MAX_JOBS
+
+    @pytest.mark.parametrize(
+        "defect, match",
+        [
+            ("unfitted", "not fitted"),
+            ("mapperless", "BinMapper"),
+            ("binless", "bin thresholds"),
+        ],
+        ids=["unfitted", "mapperless", "binless"],
+    )
+    def test_unservable_model_starts_no_pool(
+        self, regressor, monkeypatch, defect, match
+    ):
+        """A model the service cannot serve fails before any worker."""
+        started = []
+
+        class RecordingPool:
+            """Records every pool the router would start."""
+
+            def __init__(self, **kwargs):
+                started.append(kwargs)
+
+        monkeypatch.setattr(router_module, "ShardedPool", RecordingPool)
+        model, _X = regressor
+        if defect == "unfitted":
+            broken = GBRegressor(n_estimators=2)
+        else:
+            broken = copy.copy(model)
+            if defect == "mapperless":
+                broken.mapper_ = None
+            else:
+                broken.ensemble_ = dataclasses.replace(
+                    model.ensemble_,
+                    trees=[
+                        dataclasses.replace(t, bin_threshold=None)
+                        for t in model.ensemble_.trees
+                    ],
+                )
+        with pytest.raises(ValueError, match=match):
+            ScoringRouter(broken, n_jobs=2)
+        assert started == []
 
     def test_closed_router_rejects_work(self, regressor):
         model, X = regressor

@@ -685,6 +685,20 @@ class TestProtocolErrors:
             "Content-Length 99999999999",
         )
 
+    def test_oversized_header_block_is_431_and_closes(
+        self, handle, conn, caplog
+    ):
+        # 70,000 header bytes overrun the stream reader's 64 KiB limit.
+        self._assert_answers_and_closes(
+            handle,
+            conn,
+            caplog,
+            "GET /healthz HTTP/1.1\r\nHost: test\r\n"
+            f"X-Big: {'a' * 70_000}\r\n\r\n",
+            431,
+            "header block",
+        )
+
     def test_empty_rows_answer_empty(self, conn):
         status, _headers, doc = _request(
             conn, "POST", "/predict", {"rows": []}

@@ -1,6 +1,7 @@
 """Unit tests for repro.serve.service (micro-batched scoring)."""
 
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -152,28 +153,79 @@ class TestCompactPath:
                 [r.raw_score for r in results], reference
             )
 
-    def test_materialized_model_uses_mapped_compact(self, regressor):
-        from repro.serve.plane import ModelPlane
+    def test_pickled_service_uses_carried_compact(self, regressor):
+        from dataclasses import fields
+
+        from repro.boosting import CompactEnsemble
 
         model, X = regressor
-        plane = ModelPlane.pack(model, version="t")
-        worker_model, explainer = ModelPlane.materialize(
-            plane.manifest, plane.arrays
-        )
-        service = ScoringService(
-            worker_model, version="t", explainer=explainer
-        )
-        # The worker service's engine is the zero-copy mapped table,
+        original = ScoringService(model, version="t")
+        copy = pickle.loads(pickle.dumps(original))
+        # The copy's engine is the DAG it carried over, node for node,
         # not a freshly consed one.
-        assert service._engine is worker_model.compact_
-        assert (
-            service._engine.children_left is plane.arrays["dag:children_left"]
-        )
+        assert isinstance(copy._engine, CompactEnsemble)
+        assert copy._engine is copy.model.compact_
+        for field in fields(CompactEnsemble):
+            want = getattr(original._engine, field.name)
+            got = getattr(copy._engine, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            else:
+                assert got == want
         reference = model.ensemble_.predict_raw_binned(
             model.bin(X[:50]), model.mapper_.missing_bin
         )
-        results = service.score_rows(X[:50])
-        assert np.array_equal([r.raw_score for r in results], reference)
+        for _ in range(2):  # cold, then hot
+            results = copy.score_rows(X[:50])
+            assert np.array_equal([r.raw_score for r in results], reference)
+
+
+class TestPickleHandoff:
+    """Router workers score on a pickled copy of the parent's service;
+    the copy must answer bitwise like the original, cold then hot."""
+
+    @pytest.mark.parametrize("fixture", ["regressor", "classifier"])
+    def test_pickled_copy_answers_bitwise(self, fixture, request):
+        model, X = request.getfixturevalue(fixture)
+        original = ScoringService(model, version="t")
+        copy = pickle.loads(pickle.dumps(original))
+        # The copy carries the parent's DAG instead of re-consing one,
+        # and starts with an empty cache of its own.
+        assert copy._engine is copy.model.compact_
+        assert copy._cache is not original._cache
+        stream = [
+            ScoreRequest(row=row, explain=i % 2 == 0)
+            for i, row in enumerate(X[:60])
+        ]
+        for _ in range(2):  # cold, then hot
+            want = original.score_batch(stream)
+            got = copy.score_batch(stream)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.raw_score == b.raw_score
+                assert a.prediction == b.prediction
+                assert a.probability == b.probability
+                assert a.cached == b.cached
+                if b.explanation is None:
+                    assert a.explanation is None
+                else:
+                    assert explanations_equal(a.explanation, b.explanation)
+        assert copy.cache_stats == original.cache_stats
+
+    def test_pickled_explainer_bitwise(self, regressor):
+        model, X = regressor
+        copy = pickle.loads(pickle.dumps(ScoringService(model, version="t")))
+        baseline = TreeShapExplainer(model)
+        assert copy.explainer.expected_value == baseline.expected_value
+        assert np.array_equal(
+            copy.explainer.shap_values(X[:50]), baseline.shap_values(X[:50])
+        )
+        codes = model.bin(X[:50])
+        assert np.array_equal(
+            copy.explainer.shap_values_binned(codes),
+            baseline.shap_values_binned(codes),
+        )
 
 
 class TestCacheBehaviour:
