@@ -539,7 +539,7 @@ class LockDisciplineRule(Rule):
 
 
 #: Entry points whose callable arguments must be picklable to reach the
-#: process backend (first positional argument, plus the ``setup`` kwarg).
+#: process backend (first positional argument, plus the ``state`` kwarg).
 POOL_ENTRY_POINTS = frozenset({"parallel_map", "scatter", "ShardedPool"})
 
 
@@ -638,7 +638,7 @@ class UnpicklablePoolUnitRule(Rule):
         if entry in ("parallel_map", "scatter") and node.args:
             args.append(node.args[0])
         for kw in node.keywords:
-            if kw.arg == "setup":
+            if kw.arg == "state":
                 args.append(kw.value)
         return args
 

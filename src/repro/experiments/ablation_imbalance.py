@@ -21,7 +21,7 @@ from repro.learning.framework import (
     run_protocol,
     strip_samples,
 )
-from repro.parallel import pack_samples, parallel_map, unpack_samples
+from repro.parallel import parallel_map
 from repro.pipeline.samples import SampleSet
 
 __all__ = ["run_imbalance_ablation", "render_imbalance_ablation"]
@@ -51,15 +51,13 @@ def _weighted_factory(pos_weight: float):
 
 @dataclass(frozen=True)
 class _ArmUnit:
-    handle: object
     plan: ProtocolPlan
     pos_weight: float
     n_folds: int
     seed: int
 
 
-def _run_arm(unit: _ArmUnit, shared: dict) -> dict:
-    samples = unpack_samples(unit.handle, shared)
+def _run_arm(unit: _ArmUnit, samples: SampleSet) -> dict:
     result = run_protocol(
         samples,
         model_factory=_weighted_factory(unit.pos_weight),
@@ -77,18 +75,15 @@ def run_imbalance_ablation(
 ) -> dict[float, dict]:
     """Return ``{pos_weight: falls classification metrics}``.
 
-    The weight arms share one sample set, one protocol plan and — on the
-    process backend — one shared-memory design matrix; each arm is an
-    independent unit with identical results on every backend.
+    The weight arms share one sample set (the pool's state, pickled
+    once per worker) and one protocol plan; each arm is an independent
+    unit with identical results on every backend.
     """
     ctx = context or default_context()
     samples = ctx.samples("falls", "dd", with_fi=True)
     plan = ctx.plan("falls")
-    shared: dict = {}
-    handle = pack_samples(samples, shared, "falls-imbalance")
     units = [
         _ArmUnit(
-            handle=handle,
             plan=plan,
             pos_weight=weight,
             n_folds=ctx.n_folds,
@@ -96,7 +91,7 @@ def run_imbalance_ablation(
         )
         for weight in pos_weights
     ]
-    reports = parallel_map(_run_arm, units, n_jobs=ctx.n_jobs, shared=shared)
+    reports = parallel_map(_run_arm, units, n_jobs=ctx.n_jobs, state=samples)
     return dict(zip(pos_weights, reports))
 
 

@@ -11,8 +11,8 @@ Every memo (cohort, sample sets, protocol plans, results) is guarded by
 one re-entrant lock, so a context may be shared across *threads*.
 Parallel execution follows a strict **compute-in-worker /
 merge-in-parent** policy: worker processes never see the context — a
-:meth:`prefetch` unit receives only shared-memory matrices and a
-precomputed :class:`~repro.learning.framework.ProtocolPlan`, returns a
+:meth:`prefetch` unit carries only its sample set and a precomputed
+:class:`~repro.learning.framework.ProtocolPlan`, returns a
 sample-stripped result, and the parent merges it into the memo under
 the lock.  Nothing a worker does can therefore race the caches, and a
 context must never be pickled into a worker (each worker that needs one
@@ -32,7 +32,7 @@ from repro.learning.framework import (
     run_protocol,
     strip_samples,
 )
-from repro.parallel import pack_samples, parallel_map, unpack_samples
+from repro.parallel import parallel_map
 from repro.pipeline.samples import (
     SampleSet,
     build_dd_samples,
@@ -52,20 +52,19 @@ ResultKey = tuple[str, str, bool, int]
 
 @dataclass(frozen=True)
 class _ResultUnit:
-    """One protocol run shipped to a worker (matrices ride in shm)."""
+    """One protocol run shipped to a worker, its sample set included."""
 
-    handle: object
+    samples: SampleSet
     plan: ProtocolPlan
     n_folds: int
     seed: int
 
 
-def _run_result_unit(unit: _ResultUnit, shared: dict) -> EvaluationResult:
-    samples = unpack_samples(unit.handle, shared)
+def _run_result_unit(unit: _ResultUnit, _state: object) -> EvaluationResult:
     # n_jobs=1: grid-level fan-out owns the parallelism; a unit must not
     # fork a nested pool (inside a worker this is a no-op anyway).
     result = run_protocol(
-        samples,
+        unit.samples,
         n_folds=unit.n_folds,
         seed=unit.seed,
         plan=unit.plan,
@@ -193,10 +192,11 @@ class ExperimentContext:
         """Compute missing protocol results for ``keys``, concurrently.
 
         Keys are ``(outcome, kind, with_fi[, max_gap])``.  Sample sets
-        and plans are built in the parent (memoised), matrices are
-        handed to workers via shared memory, and the stripped results
-        are merged back under the lock with the parent's sample sets
-        re-attached — the compute-in-worker / merge-in-parent policy.
+        and plans are built in the parent (memoised), each unit carries
+        its sample set to the worker that runs it, and the stripped
+        results are merged back under the lock with the parent's sample
+        sets re-attached — the compute-in-worker / merge-in-parent
+        policy.
         Subsequent :meth:`result` calls are memo hits.
         """
         normalised: list[ResultKey] = []
@@ -210,27 +210,19 @@ class ExperimentContext:
         if not missing:
             return
 
-        shared: dict = {}
-        units = []
-        for outcome, kind, with_fi, max_gap in missing:
-            samples = self.samples(outcome, kind, with_fi, max_gap)
-            units.append(
-                _ResultUnit(
-                    handle=pack_samples(
-                        samples,
-                        shared,
-                        f"{outcome}:{kind}:{with_fi}:{max_gap}",
-                    ),
-                    plan=self.plan(outcome, max_gap),
-                    n_folds=self.n_folds,
-                    seed=self.seed,
-                )
+        units = [
+            _ResultUnit(
+                samples=self.samples(outcome, kind, with_fi, max_gap),
+                plan=self.plan(outcome, max_gap),
+                n_folds=self.n_folds,
+                seed=self.seed,
             )
+            for outcome, kind, with_fi, max_gap in missing
+        ]
         results = parallel_map(
             _run_result_unit,
             units,
             n_jobs=n_jobs if n_jobs is not None else self.n_jobs,
-            shared=shared,
         )
         with self._lock:
             for key, result in zip(missing, results):

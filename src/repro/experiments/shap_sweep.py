@@ -10,18 +10,12 @@ from __future__ import annotations
 # repro: scope[row-deterministic]
 # A sweep's SHAP values must not depend on how its rows were sharded.
 
-import pickle
-
 import numpy as np
 
 from repro.explain.treeshap import TreeShapExplainer
 from repro.parallel import parallel_map, resolve_jobs
 
 __all__ = ["parallel_shap"]
-
-
-def _sweep_setup(arrays: dict[str, np.ndarray]):
-    return pickle.loads(arrays["explainer"]), arrays["X"]
 
 
 def _sweep_chunk(bounds: tuple[int, int], state) -> np.ndarray:
@@ -36,11 +30,11 @@ def parallel_shap(
     """Batched TreeSHAP over ``X``, row-sharded across the executor.
 
     Returns ``(phi, expected_value)``.  The explainer is built once in
-    the parent and pickled into a byte array that rides the executor's
-    shared-memory handoff next to ``X``; every worker unpickles it once
-    and explains one contiguous chunk of rows.  The result is
-    **bitwise identical** to the serial pass for any worker count
-    (asserted in ``tests/experiments/test_parallel_sweeps.py``).
+    the parent and handed to the pool with ``X`` as its state; every
+    worker unpickles the pair once and explains one contiguous chunk of
+    rows.  The result is **bitwise identical** to the serial pass for
+    any worker count (asserted in
+    ``tests/experiments/test_parallel_sweeps.py``).
     """
     X = np.asarray(X, dtype=np.float64)
     explainer = TreeShapExplainer(model)
@@ -52,10 +46,6 @@ def parallel_shap(
         _sweep_chunk,
         [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])],
         n_jobs=jobs,
-        shared={
-            "explainer": np.frombuffer(pickle.dumps(explainer), np.uint8),
-            "X": X,
-        },
-        setup=_sweep_setup,
+        state=(explainer, X),
     )
     return np.vstack(chunks), explainer.expected_value

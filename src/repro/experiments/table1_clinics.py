@@ -31,27 +31,20 @@ def run_table1(
         ``{clinic: {(outcome, kind, with_fi): metrics_dict}}``.
     """
     ctx = context or default_context()
-    shared: dict = {}
     units: list = []
     labels: list[tuple[str, tuple[str, str, bool]]] = []
     for outcome in ("qol", "sppb", "falls"):
         for kind in kinds:
             for with_fi in (False, True):
                 samples = ctx.samples(outcome, kind, with_fi)
-                clinics, _, config_units = build_clinic_units(
-                    samples,
-                    shared,
-                    ctx.n_folds,
-                    ctx.seed,
-                    prefix=f"{outcome}:{kind}:{with_fi}:",
+                clinics, config_units = build_clinic_units(
+                    samples, ctx.n_folds, ctx.seed
                 )
                 units.extend(config_units)
                 labels.extend(
                     (clinic, (outcome, kind, with_fi)) for clinic in clinics
                 )
-    results = parallel_map(
-        run_clinic_unit, units, n_jobs=ctx.n_jobs, shared=shared
-    )
+    results = parallel_map(run_clinic_unit, units, n_jobs=ctx.n_jobs)
     grid: dict[str, dict] = {}
     for (clinic, config), result in zip(labels, results):
         grid.setdefault(clinic, {})[config] = result.test_report.as_dict()

@@ -70,7 +70,7 @@ __all__ = [
 #: for ``registry.publish``) via ``inject``.
 PARENT_SITES = frozenset({"shard.send"})
 SITES = PARENT_SITES | frozenset(
-    {"shard.task", "shard.task.done", "shm.attach", "registry.publish"}
+    {"shard.task", "shard.task.done", "worker.setup", "registry.publish"}
 )
 
 ACTIONS = frozenset({"kill", "exit", "stall", "fail", "tear"})

@@ -48,7 +48,7 @@ from repro.learning.metrics import (
     regression_report,
 )
 from repro.learning.split import KFoldSplitter, train_test_split
-from repro.parallel import pack_samples, parallel_map, unpack_samples
+from repro.parallel import parallel_map
 from repro.pipeline.samples import SampleSet
 
 __all__ = [
@@ -247,7 +247,6 @@ class _FitUnit:
     """One independent model fit: train on ``fit_idx`` with an eval set
     on ``val_idx``, then score on ``score_idx`` (absolute indices)."""
 
-    handle: object
     factory: Callable[[SampleSet], object] | None
     fit_idx: np.ndarray
     val_idx: np.ndarray
@@ -255,9 +254,8 @@ class _FitUnit:
     keep_model: bool
 
 
-def _run_fit_unit(unit: _FitUnit, shared: dict) -> tuple:
+def _run_fit_unit(unit: _FitUnit, samples: SampleSet) -> tuple:
     """Execute one fit unit (runs in a worker or inline)."""
-    samples = unpack_samples(unit.handle, shared)
     factory = unit.factory or default_model_factory
     X, y = samples.X, samples.y
     model = factory(samples)
@@ -324,12 +322,9 @@ def run_protocol(
             f"sample set has {samples.n_samples}"
         )
 
-    shared: dict[str, np.ndarray] = {}
-    handle = pack_samples(samples, shared, "protocol")
     train_idx = plan.train_idx
     units = [
         _FitUnit(
-            handle=handle,
             factory=model_factory,
             fit_idx=train_idx[fold_train],
             val_idx=train_idx[fold_val],
@@ -340,7 +335,6 @@ def run_protocol(
     ]
     units.append(
         _FitUnit(
-            handle=handle,
             factory=model_factory,
             fit_idx=train_idx[plan.inner_train],
             val_idx=train_idx[plan.inner_val],
@@ -348,7 +342,7 @@ def run_protocol(
             keep_model=True,
         )
     )
-    outcomes = parallel_map(_run_fit_unit, units, n_jobs=n_jobs, shared=shared)
+    outcomes = parallel_map(_run_fit_unit, units, n_jobs=n_jobs, state=samples)
 
     cv_reports = [report for report, _ in outcomes[:-1]]
     test_report, final_model = outcomes[-1]
@@ -365,8 +359,8 @@ def run_protocol(
 def strip_samples(result: EvaluationResult) -> EvaluationResult:
     """Detach the sample set before shipping a result across processes.
 
-    Worker processes hold ``X`` as a shared-memory view; pickling it
-    back to the parent would copy the whole matrix per unit.  The parent
-    re-attaches its own :class:`SampleSet` on merge.
+    A worker's result carries the worker's own copy of the sample set;
+    pickling it back to the parent would copy the whole matrix per
+    unit.  The parent re-attaches its own :class:`SampleSet` on merge.
     """
     return replace(result, samples=None)

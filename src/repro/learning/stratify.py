@@ -6,9 +6,9 @@ The small Hong Kong cohort (33 patients) is expected to produce unstable
 metrics — the anomalies the paper remarks on.
 
 Each clinic's protocol run is an independent unit: the parent filters
-the subset and derives the (size-reduced) fold count, workers run the
-protocol on shared-memory matrices, and results merge back in clinic
-order — bitwise-identical to the serial loop.
+the subset and derives the (size-reduced) fold count, each unit carries
+its own subset to the worker that runs it, and results merge back in
+clinic order — bitwise-identical to the serial loop.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.learning.framework import (
     run_protocol,
     strip_samples,
 )
-from repro.parallel import pack_samples, parallel_map, unpack_samples
+from repro.parallel import parallel_map
 from repro.pipeline.samples import SampleSet
 
 __all__ = [
@@ -50,19 +50,18 @@ def clinic_fold_count(subset: SampleSet, n_folds: int) -> int:
 
 @dataclass(frozen=True)
 class _ClinicUnit:
-    handle: object
+    subset: SampleSet
     factory: Callable[[SampleSet], object] | None
     n_folds: int
     seed: int
 
 
-def run_clinic_unit(unit: _ClinicUnit, shared: dict) -> EvaluationResult:
+def run_clinic_unit(unit: _ClinicUnit, _state: object) -> EvaluationResult:
     """Execute one clinic's protocol run (executor unit function)."""
-    subset = unpack_samples(unit.handle, shared)
     # n_jobs=1: the clinic fan-out owns the parallelism, so a unit run
     # inline never reads REPRO_JOBS (inside a worker this is a no-op).
     result = run_protocol(
-        subset,
+        unit.subset,
         model_factory=unit.factory,
         n_folds=unit.n_folds,
         seed=unit.seed,
@@ -73,42 +72,37 @@ def run_clinic_unit(unit: _ClinicUnit, shared: dict) -> EvaluationResult:
 
 def build_clinic_units(
     samples: SampleSet,
-    shared: dict,
     n_folds: int,
     seed: int,
     model_factory: Callable[[SampleSet], object] | None = None,
     clinics: list[str] | None = None,
-    prefix: str = "",
-) -> tuple[list[str], list[SampleSet], list[_ClinicUnit]]:
+) -> tuple[list[str], list[_ClinicUnit]]:
     """Build one executor unit per clinic of a sample set.
 
     The single source of the per-clinic protocol setup — clinic
-    enumeration (largest first), subset filtering, fold-count reduction,
-    shared-array packing — used by both :func:`per_clinic_results` and
-    the Table 1 runner so the two can never drift apart.
+    enumeration (largest first), subset filtering, fold-count reduction
+    — used by both :func:`per_clinic_results` and the Table 1 runner so
+    the two can never drift apart.
 
-    Returns ``(clinics, subsets, units)`` aligned by position; run the
-    units with :func:`run_clinic_unit` via
-    :func:`repro.parallel.parallel_map` and re-attach each subset to its
-    (sample-stripped) result.
+    Returns ``(clinics, units)`` aligned by position; run the units with
+    :func:`run_clinic_unit` via :func:`repro.parallel.parallel_map` and
+    re-attach each unit's subset to its (sample-stripped) result.
     """
     if clinics is None:
         names, counts = np.unique(samples.clinics.astype(str), return_counts=True)
         clinics = [str(n) for n in names[np.argsort(-counts)]]
-    subsets: list[SampleSet] = []
     units: list[_ClinicUnit] = []
     for clinic in clinics:
         subset = samples.filter_clinic(clinic)
-        subsets.append(subset)
         units.append(
             _ClinicUnit(
-                handle=pack_samples(subset, shared, f"{prefix}{clinic}"),
+                subset=subset,
                 factory=model_factory,
                 n_folds=clinic_fold_count(subset, n_folds),
                 seed=seed,
             )
         )
-    return clinics, subsets, units
+    return clinics, units
 
 
 def per_clinic_results(
@@ -130,18 +124,11 @@ def per_clinic_results(
         Fan the clinics out across a process pool; ``None`` honours
         ``REPRO_JOBS``.  Results are bitwise-identical to serial.
     """
-    shared: dict[str, np.ndarray] = {}
-    clinics, subsets, units = build_clinic_units(
-        samples,
-        shared,
-        n_folds,
-        seed,
-        model_factory=model_factory,
-        clinics=clinics,
-        prefix="clinic:",
+    clinics, units = build_clinic_units(
+        samples, n_folds, seed, model_factory=model_factory, clinics=clinics
     )
-    results = parallel_map(run_clinic_unit, units, n_jobs=n_jobs, shared=shared)
+    results = parallel_map(run_clinic_unit, units, n_jobs=n_jobs)
     return {
-        clinic: replace(result, samples=subset)
-        for clinic, subset, result in zip(clinics, subsets, results)
+        clinic: replace(result, samples=unit.subset)
+        for clinic, unit, result in zip(clinics, units, results)
     }

@@ -4,9 +4,9 @@ Every worker process is a :class:`ShardedPool` worker, with results
 bitwise-identical to the serial path: :func:`parallel_map` runs the
 grid's independent units (CV folds, Fig. 4 cells, per-clinic models,
 ablation arms), and the scoring router shards rows across a persistent
-pool.  See :mod:`repro.parallel.executor` for the execution model and
-:mod:`repro.parallel.shared` for the shared-memory design-matrix
-handoff.
+pool.  A pool's inputs travel as one ``state`` object, pickled once and
+sent down each worker's own pipe.  See :mod:`repro.parallel.executor`
+for the execution model.
 
 Worker-count selection: explicit ``n_jobs`` arguments beat the
 ``REPRO_JOBS`` environment variable; the default is serial.
@@ -18,13 +18,10 @@ from repro.parallel.executor import (
     parallel_map,
     resolve_jobs,
 )
-from repro.parallel.shared import pack_samples, unpack_samples
 
 __all__ = [
     "ShardedPool",
     "in_worker",
     "parallel_map",
     "resolve_jobs",
-    "pack_samples",
-    "unpack_samples",
 ]

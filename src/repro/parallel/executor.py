@@ -3,8 +3,8 @@
 The evaluation grid decomposes into units that share inputs but not
 state: the CV folds of one protocol run, the 12 grid cells of Fig. 4,
 the per-clinic models of Table 1, each ablation arm.  Every unit is a
-pure function of ``(item, shared arrays)`` with its own seed, so the
-only thing scheduling could leak into results is *ordering* — and
+pure function of ``(item, state)`` with its own seed, so the only thing
+scheduling could leak into results is *ordering* — and
 :func:`parallel_map` removes that channel by gathering results strictly
 in submission order.  The parallel result list is therefore
 bitwise-identical to the serial one (asserted by
@@ -19,11 +19,12 @@ the serial default:
 * ``N > 1`` — a process pool of N workers;
 * ``0`` or ``-1`` — one worker per CPU, at most :data:`MAX_JOBS`.
 
-Large shared arrays are handed to workers through POSIX shared memory
-(:mod:`repro.parallel.shared`), so a design matrix is mapped, not
-pickled, and never per task.  Nested parallelism is suppressed: inside a
-worker :func:`resolve_jobs` always answers 1, so e.g. a protocol run
-fanned out by the grid does not fork a second-level pool.
+The pool's ``state`` (a sample set, a pickled service, an explainer and
+its rows) is pickled once in the parent and sent down each worker's own
+pipe as its first message, so it is unpickled once per *worker*, never
+per task.  Nested parallelism is suppressed: inside a worker
+:func:`resolve_jobs` always answers 1, so e.g. a protocol run fanned
+out by the grid does not fork a second-level pool.
 
 Tasks must be picklable (module-level functions, plain-data items) to
 run on the process backend; anything unpicklable — a lambda model
@@ -33,12 +34,11 @@ results.
 One supervisor, two clients
 ---------------------------
 :class:`ShardedPool` is the only code that spawns, heals, kills and
-closes workers.  The shared arrays are exported once, each long-lived
-worker runs a *map-once* ``setup`` over them, and a task tagged with
-shard ``s`` always executes on worker ``s % n_workers`` (so worker-local
-state such as an LRU result cache sees a deterministic task
-subsequence); a task whose shard is ``None`` goes to whichever worker
-goes idle first.  Its clients:
+closes workers.  Each long-lived worker unpickles the state once, and a
+task tagged with shard ``s`` always executes on worker ``s %
+n_workers`` (so worker-local state such as an LRU result cache sees a
+deterministic task subsequence); a task whose shard is ``None`` goes to
+whichever worker goes idle first.  Its clients:
 
 * :func:`parallel_map` — one pool per call over unsharded tasks: the
   grid's protocol runs, folds, clinics and ablation arms;
@@ -58,10 +58,7 @@ from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from repro.faults import inject, should_kill
-from repro.parallel.shared import attach_shared, export_shared, release_shared
 
 __all__ = [
     "resolve_jobs",
@@ -147,9 +144,7 @@ def parallel_map(
     items: Iterable,
     *,
     n_jobs: int | None = None,
-    shared: dict[str, np.ndarray] | None = None,
-    setup: Callable | None = None,
-    setup_args: tuple = (),
+    state: object = None,
 ) -> list:
     """Evaluate ``fn(item, state)`` for every item.
 
@@ -166,28 +161,18 @@ def parallel_map(
         A pure function of ``(item, state)``.  Module-level (picklable)
         for the process backend; unpicklable callables/items fall back
         to serial execution.
-    shared:
-        Name -> array mapping attached once per worker.  On the process
-        backend large numeric arrays travel via shared memory, the rest
-        piggybacks on the worker start-up — nothing is re-sent per
-        task.
-    setup:
-        Optional map-once initializer ``setup(arrays, *setup_args) ->
-        state``, run once per worker over the attached arrays (serially:
-        once in-process).  When given, tasks receive its return value as
-        ``state``; when omitted, ``state`` is the attached array dict
-        itself.  Use it to pay a per-model cost (deserialisation,
-        structure building) per *worker* instead of per task.
+    state:
+        The read-only input every item shares (see :class:`ShardedPool`):
+        pickled once and unpickled once per worker, never per task.
+        The serial path hands ``fn`` the object itself.
     n_jobs:
         See :func:`resolve_jobs`.
     """
     items = list(items)
     jobs = max(1, min(resolve_jobs(n_jobs), len(items)))
-    if jobs > 1 and not _picklable((fn, items, setup, setup_args)):
+    if jobs > 1 and not _picklable((fn, items)):
         jobs = 1
-    with ShardedPool(
-        n_jobs=jobs, shared=shared, setup=setup, setup_args=setup_args
-    ) as pool:
+    with ShardedPool(n_jobs=jobs, state=state) as pool:
         return pool.scatter(fn, [(None, item) for item in items])
 
 
@@ -216,29 +201,30 @@ def _picklable(payload: Sequence) -> bool:
 class ShardedPool:
     """Long-lived workers with stable shard → worker affinity.
 
-    A ShardedPool survives across many :meth:`scatter` calls: the
-    shared arrays are exported once at construction, every worker runs
-    ``setup(arrays, *setup_args)`` exactly once, and a task tagged with
-    shard ``s`` always executes on worker ``s % n_workers``.
+    A ShardedPool survives across many :meth:`scatter` calls: ``state``
+    is pickled once at construction and sent down each worker's own
+    pipe as its first message — only after every worker has started,
+    since under ``spawn`` a send blocks until its child has booted — so
+    every worker unpickles its own copy exactly once, and a task tagged
+    with shard ``s`` always executes on worker ``s % n_workers``.
     Worker-local state — the scoring plane's per-shard LRU caches above
     all — therefore sees a deterministic subsequence of the task
     stream.  A task tagged with shard ``None`` has no affinity and goes
     to whichever worker goes idle first.
 
-    With ``n_jobs <= 1``, an unpicklable setup, or no way to start
-    workers the pool degrades to in-process execution (one lazily built
-    local state); a worker dying mid-task routes that worker's sharded
-    tasks to the local state as well — slower, never different (tasks
-    must be pure).  :meth:`close` (or the context manager) shuts
-    workers down and **unlinks every shared segment** even when workers
-    crashed.
+    With ``n_jobs <= 1``, an unpicklable state, or no way to start
+    workers the pool degrades to in-process execution on the ``state``
+    object itself; a worker dying mid-task routes that worker's sharded
+    tasks to it as well — slower, never different (tasks must be
+    pure).  :meth:`close` (or the context manager) shuts workers down,
+    terminating stuck ones, even when workers crashed.
 
     Self-healing
     ------------
     A dead worker slot is not permanent: at the start of every
     :meth:`scatter` the pool respawns crashed workers (bounded per-slot
-    budget, exponential backoff), re-attaching the same parent-owned
-    shared segments into the same slot — shard ownership is a pure
+    budget, exponential backoff) and sends the new worker the same state
+    bytes into the same slot — shard ownership is a pure
     function of the slot index, so a respawned worker serves exactly
     the shard subsequence its predecessor would have and results stay
     bitwise identical under any kill schedule (only worker-local cache
@@ -276,24 +262,16 @@ class ShardedPool:
         self,
         *,
         n_jobs: int | None = None,
-        shared: dict[str, np.ndarray] | None = None,
-        setup: Callable | None = None,
-        setup_args: tuple = (),
+        state: object = None,
         task_deadline: float | None = None,
         max_respawns: int | None = None,
         close_timeout: float = 5.0,
     ):
-        self._shared = dict(shared or {})
-        self._setup = setup
-        self._setup_args = setup_args
-        self._local_state = None
-        self._has_local_state = False
-        self._segments: list = []
+        self._state = state
         self._procs: list = []
         self._conns: list = []
         self._dead: set[int] = set()
         self._closed = False
-        self._specs: dict = {}
         self._context = None
         self.task_deadline = resolve_deadline(task_deadline)
         self.max_respawns = (
@@ -305,10 +283,13 @@ class ShardedPool:
         self._respawn_attempts: dict[int, int] = {}
         self._retry_after: dict[int, float] = {}
         self.workers = resolve_jobs(n_jobs)
-        if self.workers <= 1 or not _picklable((setup, setup_args)):
+        if self.workers <= 1:
+            return
+        try:
+            self._state_bytes = pickle.dumps(state)
+        except Exception:
             self.workers = 1
             return
-        self._specs, self._segments = export_shared(self._shared)
         self._context = mp.get_context(_start_method())
         try:
             for w in range(self.workers):
@@ -317,20 +298,17 @@ class ShardedPool:
             self.close()
             self._closed = False
             self.workers = 1
+            return
+        for w in range(self.workers):
+            self._send_state(w)
 
     # ------------------------------------------------------------------
     def _spawn_worker(self, w: int) -> None:
-        """(Re)start slot ``w``'s worker against the exported plane."""
+        """(Re)start slot ``w``'s worker; its state follows by pipe."""
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         proc = self._context.Process(
             target=_shard_worker_loop,
-            args=(
-                child_conn,
-                self._specs,
-                self._setup,
-                self._setup_args,
-                w,
-            ),
+            args=(child_conn, w),
             daemon=True,
         )
         proc.start()
@@ -345,18 +323,26 @@ class ShardedPool:
             self._procs.append(proc)
             self._conns.append(parent_conn)
 
+    def _send_state(self, w: int) -> None:
+        """Send slot ``w`` the state bytes; a worker already gone is dead."""
+        try:
+            self._conns[w].send_bytes(self._state_bytes)
+        except (BrokenPipeError, OSError):
+            self._mark_dead(w)
+
     def _heal(self) -> None:
         """Respawn dead slots, budgeted and backed off, before a batch.
 
-        The respawned worker re-attaches the same parent-owned shared
-        segments and takes over the same slot, so shard affinity — and
-        with it result identity — is unchanged.  A slot that keeps
-        dying (e.g. its shm attach keeps failing) exhausts its budget
-        and stays on the in-process fallback for good.
+        The respawned worker gets the same state bytes and takes over
+        the same slot, so shard affinity — and with it result identity —
+        is unchanged.  A slot that keeps dying (e.g. its setup keeps
+        failing) exhausts its budget and stays on the in-process
+        fallback for good.
         """
         if not self._dead or self.max_respawns <= 0 or self._context is None:
             return
         now = time.perf_counter()
+        respawned = []
         for w in sorted(self._dead):
             attempts = self._respawn_attempts.get(w, 0)
             if attempts >= self.max_respawns:
@@ -371,6 +357,9 @@ class ShardedPool:
                 continue
             self._dead.discard(w)
             self.workers_respawned += 1
+            respawned.append(w)
+        for w in respawned:  # after the starts, as in __init__
+            self._send_state(w)
 
     def _kill_worker(self, w: int) -> None:
         """SIGKILL slot ``w``'s process (deadline reaper / fault site)."""
@@ -400,17 +389,6 @@ class ShardedPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _state(self):
-        """The in-process fallback state (built on first use)."""
-        if not self._has_local_state:
-            self._local_state = (
-                self._shared
-                if self._setup is None
-                else self._setup(self._shared, *self._setup_args)
-            )
-            self._has_local_state = True
-        return self._local_state
-
     # ------------------------------------------------------------------
     def scatter(self, fn: Callable, tasks: Sequence[tuple[int | None, object]]) -> list:
         """Run ``fn(payload, state)`` for every ``(shard, payload)`` task.
@@ -436,8 +414,7 @@ class ShardedPool:
             or len(self._dead) == len(self._procs)
             or not _picklable((fn,))
         ):
-            state = self._state()
-            return [fn(payload, state) for _, payload in tasks]
+            return [fn(payload, self._state) for _, payload in tasks]
 
         queues: dict[int, deque] = {}
         unsharded: deque = deque()
@@ -539,7 +516,7 @@ class ShardedPool:
         # Unsharded tasks no live worker could take run in-process too.
         fallback.extend(unsharded)
         for pos, payload in fallback:
-            results[pos] = fn(payload, self._state())
+            results[pos] = fn(payload, self._state)
         if failed:
             raise min(failed, key=lambda entry: entry[0])[1]
         return results
@@ -553,7 +530,7 @@ class ShardedPool:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut workers down and unlink the shared segments (idempotent)."""
+        """Shut workers down, terminating stuck ones (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -568,7 +545,7 @@ class ShardedPool:
             proc.join(timeout=self.close_timeout)
             if proc.is_alive():
                 # Stuck worker (hung task, ignored shutdown): reap it
-                # hard so the segment unlink below cannot be held up.
+                # hard so close() returns within its timeout.
                 proc.terminate()
                 proc.join(timeout=self.close_timeout)
         for w, conn in enumerate(self._conns):
@@ -579,17 +556,18 @@ class ShardedPool:
                     pass
         self._procs = []
         self._conns = []
-        release_shared(self._segments)
-        self._segments = []
 
 
-def _shard_worker_loop(conn, specs, setup, setup_args, worker_index):
-    """One shard worker: attach the plane once, then serve tasks."""
+def _shard_worker_loop(conn, worker_index):
+    """One shard worker: unpickle the state once, then serve tasks."""
     global _IN_WORKER
     _IN_WORKER = True
-    inject("shm.attach", worker_index)
-    arrays = attach_shared(specs)
-    state = arrays if setup is None else setup(arrays, *setup_args)
+    try:
+        state_bytes = conn.recv_bytes()
+    except (EOFError, OSError):  # parent went away before the state
+        return
+    inject("worker.setup", worker_index)
+    state = pickle.loads(state_bytes)
     while True:
         try:
             message = conn.recv()

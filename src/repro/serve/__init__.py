@@ -24,9 +24,9 @@ fitted model assisting many clinical visits, scaled to heavy traffic:
     approximations.
 ``ScoringRouter``
     The multi-worker scoring plane (:mod:`repro.serve.router`): the
-    parent builds one ``ScoringService`` per version and pickles it
-    once into a byte array that rides the executor's shared-memory
-    handoff, N workers each unpickle their own empty-cache copy, and
+    parent builds one ``ScoringService`` per version and hands it to
+    the worker pool as its state, pickled once; N workers each unpickle
+    their own empty-cache copy, and
     the router shards each micro-batch of heterogeneous requests by
     bin-code hash.  Output is bitwise-identical to the single-process
     service for every worker count.

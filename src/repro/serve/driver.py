@@ -1,6 +1,6 @@
 """Serving driver behind ``python -m repro serve``.
 
-Five subcommands cover the train-once / score-later lifecycle::
+Four subcommands cover the train-once / score-later lifecycle::
 
     # fit a model on a training CSV and publish it into a registry
     python -m repro serve publish --registry models/ --name sppb \\
@@ -19,10 +19,6 @@ Five subcommands cover the train-once / score-later lifecycle::
     # admission control, /metrics; see docs/serving-ops.md)
     python -m repro serve start --registry models/ --name sppb \\
         --port 8000 --jobs 4
-
-    # sweep shared-memory segments orphaned by killed processes
-    # (dry run by default; --yes unlinks)
-    python -m repro serve gc-shm
 
 ``score`` appends a ``prediction`` column (plus ``probability`` for
 classifiers) to the input table, writes per-row attribution reports next
@@ -181,16 +177,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="serve for a fixed duration then drain and exit "
         "(default: until SIGINT/SIGTERM)",
     )
-
-    gc = sub.add_parser(
-        "gc-shm",
-        help="sweep shared-memory segments orphaned by killed processes",
-    )
-    gc.add_argument(
-        "--yes",
-        action="store_true",
-        help="actually unlink the orphans (default: dry run, list only)",
-    )
     return parser
 
 
@@ -203,8 +189,6 @@ def main(argv: list[str] | None = None) -> int:
             return _versions(args)
         if args.command == "start":
             return _start(args)
-        if args.command == "gc-shm":
-            return _gc_shm(args)
         return _score(args)
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)
@@ -295,39 +279,6 @@ def _versions(args: argparse.Namespace) -> int:
             f"{args.name}@{tag}  QUARANTINED: {reason} "
             "(re-publish the model to heal)"
         )
-    return 0
-
-
-def _gc_shm(args: argparse.Namespace) -> int:
-    """Sweep ``/dev/shm`` segments no live process has mapped.
-
-    A SIGKILLed fit or serve process cannot run its ``close()`` path,
-    so its POSIX shared-memory segments outlive it.  Dry run by
-    default: prints what would be removed; ``--yes`` unlinks.  See
-    docs/serving-ops.md ("Failure modes & recovery").
-    """
-    from repro.parallel.shared import scan_orphan_segments, unlink_segments
-
-    orphans = scan_orphan_segments()
-    if not orphans:
-        print("no orphaned shared-memory segments")
-        return 0
-    if not args.yes:
-        for name in orphans:
-            print(f"orphan: /dev/shm/{name}")
-        print(
-            f"{len(orphans)} orphaned segment"
-            f"{'s' if len(orphans) != 1 else ''} (dry run; pass --yes "
-            "to unlink)"
-        )
-        return 0
-    removed = unlink_segments(orphans)
-    for name in removed:
-        print(f"unlinked: /dev/shm/{name}")
-    print(
-        f"removed {len(removed)} orphaned segment"
-        f"{'s' if len(removed) != 1 else ''}"
-    )
     return 0
 
 

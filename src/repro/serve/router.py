@@ -8,8 +8,8 @@ formation belongs to the caller — the HTTP server's flusher, the
 of scoring workers (:class:`~repro.parallel.executor.ShardedPool`).
 The parent builds one :class:`~repro.serve.service.ScoringService` per
 version — model checks, fingerprint, TreeSHAP structures, the compact
-DAG — and pickles it once into a byte array that rides the pool's
-shared-memory handoff; each worker unpickles its own empty-cache copy.
+DAG — and hands it to the pool as its state, pickled once; each worker
+unpickles its own empty-cache copy.
 
 Sharding and the cache contract
 -------------------------------
@@ -30,13 +30,12 @@ forced eviction).
 
 Worker selection follows the executor's convention: ``n_jobs`` argument
 over ``REPRO_JOBS`` over the serial default; the serial path scores
-in-process on one copy of the service, with zero IPC.
+in-process on the service itself, with zero IPC.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -74,11 +73,6 @@ class RouterStats:
         if self.total_seconds == 0.0:
             return 0.0
         return self.requests / self.total_seconds
-
-
-def _worker_service(arrays: dict) -> ScoringService:
-    """Worker initializer: unpickle this shard's copy of the service."""
-    return pickle.loads(arrays["service"])
 
 
 def _score_shard(payload, service: ScoringService):
@@ -144,14 +138,8 @@ class ScoringRouter:
         self.n_features = service.n_features
         self.feature_names = service.feature_names
         self._model = model  # parent-side binning for shard routing
-        # Shipped as shared bytes, not as setup_args: under spawn,
-        # Process.start blocks on a pipe write of its args until the
-        # child has booted, which would start the workers one by one.
         self._pool = ShardedPool(
-            n_jobs=n_jobs,
-            shared={"service": np.frombuffer(pickle.dumps(service), np.uint8)},
-            setup=_worker_service,
-            task_deadline=task_deadline,
+            n_jobs=n_jobs, state=service, task_deadline=task_deadline
         )
         self._stats = RouterStats()
         self._shard_caches: dict[int, CacheStats] = {}
@@ -270,7 +258,7 @@ class ScoringRouter:
         )
 
     def close(self) -> None:
-        """Tear the pool down and unlink its shared segments (idempotent).
+        """Tear the pool down (idempotent).
 
         :meth:`score_batch` is synchronous, so no request is in flight
         here; the HTTP server's zero-drop shutdown drains its own queue

@@ -33,14 +33,41 @@ def _nanmean(a: np.ndarray, axis: int | None = None):
         return (total / count).astype(a.dtype)
 
 
-#: Aggregation functions accepted by :meth:`Table.group_by`.
+def _nan_extreme(ufunc: np.ufunc, nan_fn: Callable) -> Callable:
+    """``nan_fn`` (``np.nanmin``/``np.nanmax``) without its all-NaN warning.
+
+    For non-object arrays NumPy computes both as exactly this
+    ``fmin``/``fmax`` reduction and only adds the warning; object
+    arrays keep NumPy's own path.
+    """
+
+    def reduce(a: np.ndarray, axis: int | None = None):
+        if a.dtype == object:
+            return nan_fn(a, axis=axis)
+        return ufunc.reduce(a, axis=axis)
+
+    return reduce
+
+
+_nanmin = _nan_extreme(np.fmin, np.nanmin)
+_nanmax = _nan_extreme(np.fmax, np.nanmax)
+
+
+def _all_nan(a: np.ndarray) -> bool:
+    return a.dtype.kind == "f" and bool(np.isnan(a).all())
+
+
+#: Aggregation functions accepted by :meth:`Table.group_by`.  An all-NaN
+#: float group gets NumPy's own answer without its ``RuntimeWarning``:
+#: ``np.nanstd`` returns a fresh NaN there, ``np.nanmedian`` the group's
+#: last value.
 _AGGREGATIONS: dict[str, Callable[[np.ndarray], float]] = {
     "mean": lambda a: float(_nanmean(a)),
     "sum": lambda a: float(np.nansum(a)),
-    "min": lambda a: float(np.nanmin(a)),
-    "max": lambda a: float(np.nanmax(a)),
-    "std": lambda a: float(np.nanstd(a)),
-    "median": lambda a: float(np.nanmedian(a)),
+    "min": lambda a: float(_nanmin(a)),
+    "max": lambda a: float(_nanmax(a)),
+    "std": lambda a: np.nan if _all_nan(a) else float(np.nanstd(a)),
+    "median": lambda a: float(a[-1] if _all_nan(a) else np.nanmedian(a)),
     "count": lambda a: float(np.size(a)),
     "first": lambda a: a[0],
     "last": lambda a: a[-1],
@@ -68,8 +95,8 @@ def _fast_reduce(ufunc_nan: Callable) -> Callable:
 _FAST_AGGREGATIONS: dict[str, Callable] = {
     "mean": _fast_reduce(_nanmean),
     "sum": _fast_reduce(np.nansum),
-    "min": _fast_reduce(np.nanmin),
-    "max": _fast_reduce(np.nanmax),
+    "min": _fast_reduce(_nanmin),
+    "max": _fast_reduce(_nanmax),
     "count": lambda values, order, starts, ends, size: (
         (ends - starts).astype(np.float64)
     ),

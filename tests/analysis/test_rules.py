@@ -176,11 +176,23 @@ class TestRep005Edges:
 
 
 class TestRep006Edges:
-    def test_setup_kwarg_lambda_flagged(self):
+    def test_state_kwarg_lambda_flagged(self):
         src = (
             "from repro.parallel import ShardedPool\n\n"
-            "def build(arrays):\n"
-            "    return ShardedPool(shared=arrays, setup=lambda a: a)\n"
+            "def build():\n"
+            "    return ShardedPool(state=lambda a: a)\n"
+        )
+        assert rules_in(lint_source(src)) == {"REP006"}
+
+    def test_state_kwarg_local_def_flagged(self):
+        src = (
+            "from repro.parallel import parallel_map\n\n"
+            "def unit(item, state):\n"
+            "    return item\n\n"
+            "def run(items):\n"
+            "    def local(x):\n"
+            "        return x\n"
+            "    return parallel_map(unit, items, state=local)\n"
         )
         assert rules_in(lint_source(src)) == {"REP006"}
 

@@ -34,7 +34,7 @@ def _shard_sum(payload, state):
 
 def test_writes_recovery_counters_artifact():
     X = np.arange(4096.0).reshape(64, 64)
-    pool = ShardedPool(n_jobs=2, shared={"X": X})
+    pool = ShardedPool(n_jobs=2, state={"X": X})
     if pool.workers != 2:
         pool.close()
         pytest.skip("process backend unavailable")

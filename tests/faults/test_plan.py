@@ -166,11 +166,11 @@ class TestActivation:
         assert not faults_active()
 
     def test_context_plan_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "fail@shm.attach")
+        monkeypatch.setenv("REPRO_FAULTS", "fail@worker.setup")
         with fault_plan("kill@shard.send:n=0") as plan:
             assert active_plan() is plan
-            inject("shm.attach", 0)  # the env rule is masked
-        assert active_plan().rules[0].site == "shm.attach"
+            inject("worker.setup", 0)  # the env rule is masked
+        assert active_plan().rules[0].site == "worker.setup"
 
     def test_context_plans_nest(self):
         with fault_plan("kill@shard.send") as outer:
@@ -192,10 +192,10 @@ class TestEvaluation:
             inject("shard.send", 0)  # a kill rule never raises inline
 
     def test_inject_raises_on_fail_and_tear(self):
-        with fault_plan("fail@shm.attach:w=2"):
-            inject("shm.attach", 0)  # wrong worker: no-op
-            with pytest.raises(InjectedFault, match="shm.attach"):
-                inject("shm.attach", 2)
+        with fault_plan("fail@worker.setup:w=2"):
+            inject("worker.setup", 0)  # wrong worker: no-op
+            with pytest.raises(InjectedFault, match="worker.setup"):
+                inject("worker.setup", 2)
         with fault_plan("tear@registry.publish"):
             with pytest.raises(InjectedFault, match="tear"):
                 inject("registry.publish")

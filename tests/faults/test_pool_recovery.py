@@ -28,7 +28,7 @@ def _shard_sum(payload, state):
 
 def _make_pool(jobs: int, **kwargs) -> tuple[ShardedPool, np.ndarray]:
     X = np.arange(8192.0).reshape(128, 64)
-    pool = ShardedPool(n_jobs=jobs, shared={"X": X}, **kwargs)
+    pool = ShardedPool(n_jobs=jobs, state={"X": X}, **kwargs)
     if pool.workers != jobs:
         pool.close()
         pytest.skip("process backend unavailable")
@@ -191,8 +191,8 @@ class TestCrashLoops:
         finally:
             pool.close()
 
-    def test_shm_attach_failure_degrades_cleanly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "fail@shm.attach:w=1:x=10")
+    def test_worker_setup_failure_degrades_cleanly(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "fail@worker.setup:w=1:x=10")
         pool, X = _make_pool(2)
         tasks = _tasks()
         try:
@@ -223,10 +223,8 @@ class TestCrashLoops:
 
 
 class TestCloseUnderFaults:
-    def test_close_terminates_stuck_worker_and_unlinks(self, monkeypatch):
-        """A worker wedged mid-loop cannot hold close() or leak segments."""
-        from multiprocessing import shared_memory
-
+    def test_close_terminates_stuck_worker(self, monkeypatch):
+        """A worker wedged mid-loop cannot hold close() past its timeout."""
         monkeypatch.setenv(
             "REPRO_FAULTS", "stall@shard.task.done:w=0:n=0:s=60"
         )
@@ -236,17 +234,8 @@ class TestCloseUnderFaults:
         # completes — then the worker sleeps through the shutdown
         # sentinel and must be terminated within the close deadline.
         assert pool.scatter(_shard_sum, tasks) == _reference(X, tasks)
-        names = [segment.name for segment in pool._segments]
-        assert names, "expected the pool to export shared segments"
         procs = list(pool._procs)
         t0 = time.perf_counter()
         pool.close()
         assert time.perf_counter() - t0 < 10.0
         assert all(not proc.is_alive() for proc in procs if proc is not None)
-        for name in names:
-            try:
-                leaked = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:
-                continue
-            leaked.close()
-            pytest.fail(f"segment {name} leaked past close()")

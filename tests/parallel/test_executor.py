@@ -3,35 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    pack_samples,
-    parallel_map,
-    resolve_jobs,
-    unpack_samples,
-)
 from repro.faults import faults_active
-from repro.parallel import executor
+from repro.parallel import executor, parallel_map, resolve_jobs
 from repro.parallel.executor import MAX_JOBS, in_worker
-from repro.parallel.shared import (
-    attach_shared,
-    export_shared,
-    release_shared,
-)
 
 
-def _row_stat(item, shared):
-    return float(shared["X"][item].sum()) + item
+def _row_stat(item, state):
+    return float(state["X"][item].sum()) + item
 
 
-def _worker_probe(item, shared):
-    return (in_worker(), resolve_jobs(8), shared["X"].flags.writeable)
+def _worker_probe(item, state):
+    return (in_worker(), resolve_jobs(8), float(state["X"].sum()))
 
 
 def _echo(item, state):
     return item
 
 
-def _boom(item, shared):
+def _boom(item, state):
     if item == 2:
         raise ValueError("unit 2 failed")
     return item
@@ -127,29 +116,29 @@ class TestResolveJobs:
 class TestParallelMap:
     def test_results_in_submission_order(self):
         X = np.arange(2048.0).reshape(256, 8)
-        serial = parallel_map(_row_stat, range(20), n_jobs=1, shared={"X": X})
-        processes = parallel_map(_row_stat, range(20), n_jobs=2, shared={"X": X})
+        serial = parallel_map(_row_stat, range(20), n_jobs=1, state={"X": X})
+        processes = parallel_map(_row_stat, range(20), n_jobs=2, state={"X": X})
         assert serial == processes
         assert serial == [_row_stat(i, {"X": X}) for i in range(20)]
 
-    def test_workers_see_shared_memory_read_only(self):
+    def test_workers_see_the_state(self):
         X = np.random.default_rng(0).normal(size=(512, 16))
-        probes = parallel_map(_worker_probe, range(3), n_jobs=2, shared={"X": X})
-        for is_worker, nested_jobs, writeable in probes:
+        probes = parallel_map(_worker_probe, range(3), n_jobs=2, state={"X": X})
+        for is_worker, nested_jobs, total in probes:
+            assert total == float(X.sum())
             if faults_active() and not is_worker:
                 continue  # ambient chaos recomputed this probe in-process
             assert is_worker is True
             # Nested parallelism is suppressed inside workers.
             assert nested_jobs == 1
-            assert writeable is False
 
     def test_serial_path_runs_in_process(self):
         X = np.zeros((2, 2))
-        probes = parallel_map(_worker_probe, range(2), n_jobs=1, shared={"X": X})
+        probes = parallel_map(_worker_probe, range(2), n_jobs=1, state={"X": X})
         assert all(is_worker is False for is_worker, _, _ in probes)
 
     def test_unpicklable_fn_falls_back_to_serial(self):
-        double = lambda item, shared: item * 2  # noqa: E731
+        double = lambda item, state: item * 2  # noqa: E731
         assert parallel_map(double, range(5), n_jobs=2) == [0, 2, 4, 6, 8]
 
     def test_unit_exception_propagates(self):
@@ -157,38 +146,4 @@ class TestParallelMap:
             parallel_map(_boom, range(4), n_jobs=2)
 
     def test_empty_items(self):
-        assert parallel_map(_row_stat, [], n_jobs=2, shared={"X": np.eye(2)}) == []
-
-
-class TestSharedArrays:
-    def test_roundtrip_with_segments(self):
-        arrays = {
-            "big": np.random.default_rng(1).normal(size=(300, 40)),
-            "tiny": np.arange(4.0),
-            "ids": np.array(["a", "b"], dtype=object),
-        }
-        specs, segments = export_shared(arrays)
-        try:
-            assert specs["big"].shm_name is not None
-            assert specs["tiny"].shm_name is None  # below segment threshold
-            assert specs["ids"].shm_name is None  # object dtype
-            attached = attach_shared(specs)
-            for name, original in arrays.items():
-                got = attached[name]
-                assert not got.flags.writeable
-                if original.dtype == object:
-                    assert (got == original).all()
-                else:
-                    assert np.array_equal(got, original)
-        finally:
-            release_shared(segments)
-
-    def test_pack_unpack_samples(self, qol_dd_samples):
-        arrays: dict = {}
-        handle = pack_samples(qol_dd_samples, arrays, "s")
-        back = unpack_samples(handle, arrays)
-        assert back.outcome == qol_dd_samples.outcome
-        assert back.feature_names == qol_dd_samples.feature_names
-        assert back.X is qol_dd_samples.X  # serial path: no copy at all
-        assert (back.patient_ids == qol_dd_samples.patient_ids).all()
-        assert np.array_equal(back.windows, qol_dd_samples.windows)
+        assert parallel_map(_row_stat, [], n_jobs=2, state={"X": np.eye(2)}) == []

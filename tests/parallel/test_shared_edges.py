@@ -1,14 +1,15 @@
-"""Edge cases of the shared-memory handoff and the worker pools.
+"""Edge cases of the pool's state handoff and the worker pools.
 
 Covers the satellite contract of the multi-worker scoring plane:
-zero-row design matrices, dtype round trips, the map-once ``setup``
-mode, and — most load-bearing — that shared-memory segments are always
-unlinked, including when a worker dies mid-task.
+zero-row design matrices and dtype round trips through a pool's
+``state``, which is pickled once and unpickled once per worker (never
+per task), and that no POSIX shared-memory segment is ever created or
+left behind, including when a worker dies mid-task.
 """
 
 import os
 import time
-from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,16 +17,17 @@ import pytest
 from repro.faults import faults_active
 from repro.parallel import ShardedPool, parallel_map
 from repro.parallel.executor import in_worker
-from repro.parallel.shared import attach_shared, export_shared, release_shared
 
 
-def _segment_gone(name: str) -> bool:
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return True
-    segment.close()
-    return False
+def _shm_segments() -> set[str]:
+    shm = Path("/dev/shm")
+    if not shm.is_dir():
+        return set()
+    return {e.name for e in shm.iterdir() if e.name.startswith("psm_")}
+
+
+def _state_identity(item, state):
+    return state
 
 
 class TestSharedArrayEdges:
@@ -34,15 +36,11 @@ class TestSharedArrayEdges:
             "X": np.empty((0, 8), dtype=np.float64),
             "y": np.empty(0, dtype=np.float64),
         }
-        specs, segments = export_shared(arrays)
-        try:
-            attached = attach_shared(specs)
-            for name, original in arrays.items():
-                assert attached[name].shape == original.shape
-                assert attached[name].dtype == original.dtype
-                assert not attached[name].flags.writeable
-        finally:
-            release_shared(segments)
+        with ShardedPool(n_jobs=2, state=arrays) as pool:
+            for got in pool.scatter(_state_identity, [(0, None), (1, None)]):
+                for name, original in arrays.items():
+                    assert got[name].shape == original.shape
+                    assert got[name].dtype == original.dtype
 
     @pytest.mark.parametrize(
         "dtype",
@@ -51,55 +49,59 @@ class TestSharedArrayEdges:
     def test_dtype_round_trip(self, dtype):
         rng = np.random.default_rng(5)
         original = (rng.random((128, 16)) * 100).astype(dtype)
-        specs, segments = export_shared({"a": original})
-        try:
-            attached = attach_shared(specs)["a"]
-            assert attached.dtype == original.dtype
-            assert np.array_equal(attached, original)
-        finally:
-            release_shared(segments)
+        with ShardedPool(n_jobs=2, state={"a": original}) as pool:
+            for got in pool.scatter(_state_identity, [(0, None), (1, None)]):
+                assert got["a"].dtype == original.dtype
+                assert np.array_equal(got["a"], original)
 
     def test_zero_rows_through_parallel_map(self):
         out = parallel_map(
             _shape_probe,
             [0, 1],
             n_jobs=2,
-            shared={"X": np.empty((0, 5), dtype=np.float64)},
+            state={"X": np.empty((0, 5), dtype=np.float64)},
         )
         assert out == [(0, 5), (0, 5)]
 
 
-def _shape_probe(item, shared):
-    return shared["X"].shape
-
-
-def _setup_state(arrays, offset):
-    return {"sum": float(arrays["X"].sum()) + offset, "pid": os.getpid()}
+def _shape_probe(item, state):
+    return state["X"].shape
 
 
 def _setup_task(item, state):
-    return (state["sum"] + item, state["pid"])
+    return (float(state["X"].sum()) + item, os.getpid())
+
+
+class _UnpickleCounter:
+    """Picklable probe that records, per process, each time it is unpickled."""
+
+    unpickled = 0
+
+    def __reduce__(self):
+        return (_revive_counter, ())
+
+
+def _revive_counter():
+    _UnpickleCounter.unpickled += 1
+    return _UnpickleCounter()
+
+
+def _count_unpickles(item, state):
+    return os.getpid(), _UnpickleCounter.unpickled
 
 
 def _kill_if_worker(item, state):
     if item == "die" and in_worker():
         os.kill(os.getpid(), 9)
-    return ("survived", item)
+    return ("survived", item, float(state["X"].sum()))
 
 
 class TestSetupMode:
     def test_parallel_map_setup_runs_once_per_worker(self):
         X = np.arange(64.0).reshape(8, 8)
-        out = parallel_map(
-            _setup_task,
-            range(6),
-            n_jobs=2,
-            shared={"X": X},
-            setup=_setup_state,
-            setup_args=(10.0,),
-        )
+        out = parallel_map(_setup_task, range(6), n_jobs=2, state={"X": X})
         values = [value for value, _ in out]
-        assert values == [X.sum() + 10.0 + i for i in range(6)]
+        assert values == [X.sum() + i for i in range(6)]
         # Under ambient chaos a killed worker's tasks land in-process,
         # adding the parent pid to the set; values above already proved
         # correctness, so only the placement bookkeeping is relaxed.
@@ -107,77 +109,92 @@ class TestSetupMode:
             assert len({pid for _, pid in out}) <= 2
 
     def test_parallel_map_setup_serial(self):
-        X = np.ones((2, 2))
+        state = {"X": np.ones((2, 2))}
+        out = parallel_map(_state_identity, range(3), n_jobs=1, state=state)
+        # The serial path hands every item the object itself.
+        assert all(got is state for got in out)
+
+    def test_state_arrives_once_per_worker_not_per_task(self, monkeypatch):
+        # Placement is what this test asserts: no ambient kill schedule.
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
         out = parallel_map(
-            _setup_task,
-            range(3),
-            n_jobs=1,
-            shared={"X": X},
-            setup=_setup_state,
-            setup_args=(0.0,),
+            _count_unpickles, range(12), n_jobs=2, state=_UnpickleCounter()
         )
-        assert [value for value, _ in out] == [4.0, 5.0, 6.0]
-        assert all(pid == os.getpid() for _, pid in out)
+        per_pid: dict[int, set[int]] = {}
+        for pid, unpickled in out:
+            per_pid.setdefault(pid, set()).add(unpickled)
+        assert os.getpid() not in per_pid
+        assert 1 <= len(per_pid) <= 2
+        # Every worker unpickled the state exactly once, over all of
+        # its tasks.
+        assert all(counts == {1} for counts in per_pid.values())
 
 
 class TestWorkerDeathCleanup:
     def test_sharded_pool_unlinks_segments_after_worker_death(self):
+        before = _shm_segments()
         X = np.arange(4096.0).reshape(64, 64)
-        pool = ShardedPool(n_jobs=2, shared={"X": X}, setup=_setup_state,
-                           setup_args=(0.0,))
-        names = [segment.name for segment in pool._segments]
-        assert names, "expected at least one shared segment"
+        total = float(X.sum())
+        pool = ShardedPool(n_jobs=2, state={"X": X})
         results = pool.scatter(
             _kill_if_worker, [(0, "die"), (0, "a"), (1, "b")]
         )
         # The dead worker's tasks were recomputed in-process, in order.
         assert results == [
-            ("survived", "die"),
-            ("survived", "a"),
-            ("survived", "b"),
+            ("survived", "die", total),
+            ("survived", "a", total),
+            ("survived", "b", total),
         ]
-        # The pool keeps serving after the death.
+        # The pool keeps serving after the death, and the respawned
+        # slot holds the same state.
         assert pool.scatter(_kill_if_worker, [(0, "c")]) == [
-            ("survived", "c")
+            ("survived", "c", total)
         ]
         pool.close()
-        assert all(_segment_gone(name) for name in names)
+        assert _shm_segments() - before == set()
 
-    def test_parallel_map_unlinks_segments_after_worker_death(self, monkeypatch):
-        from repro.parallel import executor as executor_mod
-
-        captured: list[str] = []
-        original = executor_mod.export_shared
-
-        def capturing_export(arrays):
-            specs, segments = original(arrays)
-            captured.extend(segment.name for segment in segments)
-            return specs, segments
-
-        monkeypatch.setattr(executor_mod, "export_shared", capturing_export)
+    def test_parallel_map_unlinks_segments_after_worker_death(self):
+        before = _shm_segments()
         X = np.arange(4096.0).reshape(64, 64)
+        total = float(X.sum())
         out = parallel_map(
             _kill_if_worker,
             ["die", "x", "y"],
             n_jobs=2,
-            shared={"X": X},
+            state={"X": X},
         )
         # The killed worker's unit was recomputed in-process: same results.
         assert out == [
-            ("survived", "die"),
-            ("survived", "x"),
-            ("survived", "y"),
+            ("survived", "die", total),
+            ("survived", "x", total),
+            ("survived", "y", total),
         ]
-        assert captured, "expected the export to create segments"
-        assert all(_segment_gone(name) for name in captured)
+        assert _shm_segments() - before == set()
+
+
+class TestNoSharedMemory:
+    def test_no_shm_segment_across_pool_life_cycles(self):
+        from repro.boosting import GBRegressor
+        from repro.serve import ScoringRouter
+
+        before = _shm_segments()
+        X = np.arange(4096.0).reshape(64, 64)
+        out = parallel_map(_setup_task, range(4), n_jobs=2, state={"X": X})
+        assert [value for value, _ in out] == [X.sum() + i for i in range(4)]
+        assert _shm_segments() - before == set()
+        rng = np.random.default_rng(3)
+        Xf = rng.normal(size=(200, 5))
+        model = GBRegressor(n_estimators=5, max_depth=2).fit(Xf, Xf[:, 0])
+        with ScoringRouter(model, n_jobs=2) as router:
+            router.score_rows(Xf[:8], explain=True)
+            assert _shm_segments() - before == set()
+        assert _shm_segments() - before == set()
 
 
 class TestShardedPoolContract:
     def test_affinity_and_order(self):
         X = np.arange(4096.0).reshape(64, 64)
-        with ShardedPool(
-            n_jobs=2, shared={"X": X}, setup=_setup_state, setup_args=(0.0,)
-        ) as pool:
+        with ShardedPool(n_jobs=2, state={"X": X}) as pool:
             tasks = [(i % 4, i) for i in range(12)]
             out = pool.scatter(_setup_task, tasks)
             assert [value for value, _ in out] == [
@@ -192,7 +209,7 @@ class TestShardedPoolContract:
     def test_unsharded_tasks_go_to_the_idle_worker(self, monkeypatch):
         # Placement is what this test asserts: no ambient kill schedule.
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        with ShardedPool(n_jobs=2, shared={}) as pool:
+        with ShardedPool(n_jobs=2, state={}) as pool:
             if pool.workers != 2:
                 pytest.skip("process backend unavailable")
             tasks = [(None, (0, 1.0))] + [(None, (i, 0.0)) for i in range(1, 7)]
@@ -206,18 +223,18 @@ class TestShardedPoolContract:
         assert os.getpid() not in fast_pids | {slow_pid}
 
     def test_task_error_propagates(self):
-        with ShardedPool(n_jobs=2, shared={}) as pool:
+        with ShardedPool(n_jobs=2, state={}) as pool:
             with pytest.raises(ValueError, match="boom 1"):
                 pool.scatter(_raise_on, [(0, 0), (1, 1), (0, 2)])
 
     def test_serial_fallback_for_unpicklable_setup(self):
-        state_factory = lambda arrays: {"local": True}  # noqa: E731
-        with ShardedPool(n_jobs=4, shared={}, setup=state_factory) as pool:
+        state = {"local": True, "factory": lambda: None}
+        with ShardedPool(n_jobs=4, state=state) as pool:
             assert pool.workers == 1
             assert pool.scatter(_probe_state, [(0, None)]) == [True]
 
     def test_closed_pool_rejects_work(self):
-        pool = ShardedPool(n_jobs=1, shared={})
+        pool = ShardedPool(n_jobs=1, state={})
         pool.close()
         pool.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
@@ -244,7 +261,7 @@ class TestProtocolSync:
     """Unsendable tasks must not desynchronise the pipe protocol."""
 
     def test_unpicklable_payload_mid_batch(self):
-        with ShardedPool(n_jobs=2, shared={}) as pool:
+        with ShardedPool(n_jobs=2, state={}) as pool:
             bad = lambda: None  # noqa: E731 - unpicklable payload
             out = pool.scatter(
                 _describe, [(0, "first"), (1, bad), (0, "third")]
@@ -260,7 +277,7 @@ class TestProtocolSync:
             ]
 
     def test_unpicklable_fn_degrades_to_serial(self):
-        with ShardedPool(n_jobs=2, shared={}) as pool:
+        with ShardedPool(n_jobs=2, state={}) as pool:
             fn = lambda payload, state: payload * 2  # noqa: E731
             assert pool.scatter(fn, [(0, 1), (1, 2)]) == [2, 4]
             # The pool itself is still healthy for picklable work.

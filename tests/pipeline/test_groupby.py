@@ -190,20 +190,33 @@ class TestTableGroupByVectorised:
         assert got["k"].tolist() == ["b", "a", "c"]
         assert_matrices_equal(got["v"], want["v"])
 
+    @pytest.mark.parametrize(
+        "agg, numpy_agg",
+        [
+            ("mean", np.nanmean),
+            ("sum", np.nansum),
+            ("min", np.nanmin),
+            ("max", np.nanmax),
+            ("std", np.nanstd),
+            ("median", np.nanmedian),
+        ],
+        ids=["mean", "sum", "min", "max", "std", "median"],
+    )
     @pytest.mark.parametrize("sizes", [(2, 2, 2), (1, 3, 2)])
-    def test_all_nan_group_mean_is_silent_nan(self, sizes):
-        # Equal sizes take the vectorised path, unequal ones the loop.
+    def test_all_nan_group_mean_is_silent_nan(self, sizes, agg, numpy_agg):
+        # Equal sizes take the vectorised path (where the aggregation
+        # has one), unequal ones the loop.
         keys = np.repeat(["a", "b", "c"], sizes)
         values = np.arange(len(keys), dtype=np.float64)
         values[keys == "b"] = np.nan
         table = Table({"k": keys, "v": values})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = table.group_by("k", {"v": "mean"})
+            got = table.group_by("k", {"v": agg})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            want = np.array([np.nanmean(values[keys == k]) for k in "abc"])
-        assert np.isnan(got["v"][1])
+            want = np.array([numpy_agg(values[keys == k]) for k in "abc"])
+        assert np.isnan(got["v"][1]) == (agg != "sum")
         assert got["v"].view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_unequal_group_sizes_match_loop(self):
