@@ -88,11 +88,19 @@ class BinMapper:
                 f"{len(self.bin_edges_)}"
             )
         out = np.empty(X.shape, dtype=np.uint8, order=order)
+        # Work feature-major: each feature is one contiguous row of the
+        # transposed block, read and written without strides.  An F
+        # order output is such a block already; a C order one takes a
+        # single transposing copy at the end.
+        XT = np.ascontiguousarray(X.T)
+        block = out.T if order == "F" else np.empty(XT.shape, dtype=np.uint8)
         # NaN sorts past every edge, so its code is overwritten below
-        # by one mask pass over the whole matrix.
+        # by one mask pass over the whole block.
         for f, cut in enumerate(self.bin_edges_):
-            out[:, f] = cut.searchsorted(X[:, f])
-        np.putmask(out, np.isnan(X), self.missing_bin)
+            block[f] = cut.searchsorted(XT[f])
+        np.putmask(block, np.isnan(XT), self.missing_bin)
+        if order == "C":
+            out[...] = block.T
         return out
 
     def fit_transform(self, X: np.ndarray, order: str = "C") -> np.ndarray:

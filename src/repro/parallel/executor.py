@@ -159,8 +159,9 @@ def parallel_map(
     ----------
     fn:
         A pure function of ``(item, state)``.  Module-level (picklable)
-        for the process backend; unpicklable callables/items fall back
-        to serial execution.
+        for the process backend; an unpicklable callable runs every
+        item in-process, an unpicklable item runs in-process alone.
+        Each item is pickled once, when it is sent.
     state:
         The read-only input every item shares (see :class:`ShardedPool`):
         pickled once and unpickled once per worker, never per task.
@@ -170,8 +171,6 @@ def parallel_map(
     """
     items = list(items)
     jobs = max(1, min(resolve_jobs(n_jobs), len(items)))
-    if jobs > 1 and not _picklable((fn, items)):
-        jobs = 1
     with ShardedPool(n_jobs=jobs, state=state) as pool:
         return pool.scatter(fn, [(None, item) for item in items])
 

@@ -3,10 +3,13 @@
 The scoring service keys entries on ``(model version tag, row bin
 codes)``.  Bin codes are the model's quantized view of a row: every tree
 routes on codes alone, so two raw rows with equal codes produce
-identical predictions and SHAP values.  A hit therefore returns the
-*exact* answer — this is a correctness-preserving cache, not an
-approximation, and it needs no TTL (entries are invalidated by the
-version tag changing, never by time).
+identical predictions and SHAP values.  An entry holds the row's raw
+score and, once the row has been explained, its ranked top-k (column
+indices, feature names and SHAP contributions) rather than a SHAP row;
+the report's raw values are picked out of the requesting row.  A hit
+therefore returns the *exact* answer — this is a correctness-preserving
+cache, not an approximation, and it needs no TTL (entries are
+invalidated by the version tag changing, never by time).
 """
 
 from __future__ import annotations

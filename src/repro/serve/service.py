@@ -17,19 +17,28 @@ the hot path fast without changing a single output bit:
    codes)``.  Codes are the model's own quantized representation, so a
    hit is bitwise-identical to recomputation; repeated-cohort traffic
    (the same patients scored at every visit) short-circuits entirely.
-   Duplicate rows *within* one batch are computed once, too.
+   An entry holds the raw score and, once the row has been explained,
+   its ranked top-k (column indices, names and SHAP contributions), so
+   a hit only picks the report's raw values out of the requesting row:
+   no SHAP row is re-ranked.  Duplicate rows *within* one batch are
+   computed once, too.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from repro.boosting.gbm import GBClassifier
-from repro.explain.reports import LocalExplanation, top_k_features
+from repro.explain.reports import (
+    LocalExplanation,
+    _local_explanation,
+    top_k_features,
+)
 from repro.explain.treeshap import TreeShapExplainer
 from repro.serve.cache import CacheStats, LRUCache
 from repro.serve.registry import ModelRegistry, model_fingerprint
@@ -50,8 +59,16 @@ def stack_request_rows(
     """Validate and stack request rows into one ``(n, d)`` matrix.
 
     Shared by the single-process service and the multi-worker router so
-    both fronts reject malformed rows identically.
+    both fronts reject malformed rows identically.  Well-formed batches
+    are stacked by one ``np.array`` call; anything else goes through the
+    per-row loop, which names the first bad request.
     """
+    try:
+        rows = np.array([req.row for req in requests], dtype=np.float64)
+    except Exception:
+        rows = None
+    if rows is not None and rows.shape == (len(requests), n_features):
+        return rows
     rows = np.empty((len(requests), n_features), dtype=np.float64)
     for i, req in enumerate(requests):
         row = np.asarray(req.row, dtype=np.float64)
@@ -127,6 +144,29 @@ class ScoreResult:
     cached: bool
 
 
+def _score_result(
+    raw_score: float,
+    prediction: float,
+    probability: float | None,
+    explanation: LocalExplanation | None,
+    cached: bool,
+) -> ScoreResult:
+    """``ScoreResult(...)`` without the frozen-dataclass ``__init__``.
+
+    Builds the same object as the public constructor, as
+    :func:`repro.explain.reports._local_explanation` does for reports.
+    """
+    result = object.__new__(ScoreResult)
+    result.__dict__.update(
+        raw_score=raw_score,
+        prediction=prediction,
+        probability=probability,
+        explanation=explanation,
+        cached=cached,
+    )
+    return result
+
+
 @dataclass
 class ServiceStats:
     """Lifetime counters of one :class:`ScoringService`."""
@@ -147,29 +187,21 @@ class ServiceStats:
         return self.requests / self.total_seconds
 
 
-@dataclass
 class _Entry:
-    """Cached per-row results (raw score always, SHAP row lazily)."""
+    """One cached row: its raw score, and its ranked top-k once explained.
 
-    raw: float
-    phi: np.ndarray | None = None
-
-
-@dataclass
-class _Plan:
-    """Which requests a batch can serve from cache vs must compute.
-
-    ``entry_by_key`` keeps a strong reference to every entry the batch
-    touches, so assembly is immune to the cache evicting entries of the
-    very batch being computed (capacity smaller than the batch).
+    ``order`` holds the ranked column indices, ``features`` and
+    ``contributions`` the matching names and SHAP values; a report's
+    ``values`` are picked at ``order`` out of whichever row asks.
     """
 
-    keys: list
-    satisfied: list
-    deduped: list
-    entry_by_key: dict = field(default_factory=dict)
-    predict_rows: dict = field(default_factory=dict)
-    explain_rows: dict = field(default_factory=dict)
+    __slots__ = ("raw", "order", "features", "contributions")
+
+    def __init__(self, raw: float):
+        self.raw = raw
+        self.order: list[int] | None = None
+        self.features: tuple[str, ...] = ()
+        self.contributions: tuple[float, ...] = ()
 
 
 class ScoringService:
@@ -276,7 +308,7 @@ class ScoringService:
         if not requests:
             return []
         t0 = time.perf_counter()
-        rows = self._stack_rows(requests)
+        rows = stack_request_rows(requests, self.n_features)
         if codes is None:
             codes = self.model.bin(rows)
         else:
@@ -286,9 +318,85 @@ class ScoringService:
                     f"expected codes of shape {rows.shape}, "
                     f"got {codes.shape}"
                 )
-        plan = self._plan(requests, codes)
-        self._compute(plan, codes)
-        results = self._assemble(requests, rows, plan)
+        # Every row's cache key is its slice of one C-order byte string.
+        blob = codes.tobytes()
+        width = len(blob) // len(requests)
+        keys = [
+            (self.version, blob[i * width : (i + 1) * width])
+            for i in range(len(requests))
+        ]
+        # ``entries`` holds every entry the batch touches (None while a
+        # key is missing), so a cache smaller than the batch cannot evict
+        # one mid-batch; ``predict``/``explain`` map each key to the
+        # first row that must compute it.
+        entries: dict = {}
+        predict: dict = {}
+        explain: dict = {}
+        cached = []
+        deduped = 0
+        lookup = self._cache.get
+        for i, (key, req) in enumerate(zip(keys, requests)):
+            if key not in entries:
+                entries[key] = lookup(key)
+            entry = entries[key]
+            if entry is None:
+                owner = predict.setdefault(key, i) == i
+                if req.explain:
+                    owner = explain.setdefault(key, i) == i or owner
+            elif req.explain and entry.order is None:
+                owner = explain.setdefault(key, i) == i
+            else:
+                cached.append(True)
+                continue
+            cached.append(False)
+            deduped += not owner
+        reports = self._compute(rows, codes, entries, predict, explain)
+
+        # A report the batch did not rank itself takes the entry's
+        # ranking and the requesting row's values at the ranked
+        # columns, picked for all such rows by one gather.
+        borrowed = [
+            i for i, req in enumerate(requests) if req.explain and i not in reports
+        ]
+        values = iter(())
+        if borrowed:
+            orders = [entries[keys[i]].order for i in borrowed]
+            k = len(orders[0])
+            cols = np.fromiter(
+                chain.from_iterable(orders), dtype=np.intp, count=k * len(borrowed)
+            )
+            cols += np.repeat(np.asarray(borrowed, dtype=np.intp) * rows.shape[1], k)
+            picked = rows.take(cols).tolist()
+            values = (tuple(picked[j : j + k]) for j in range(0, len(picked), k))
+        expected_value = float(self.explainer.expected_value)
+        is_classifier = isinstance(self.model, GBClassifier)
+        results = []
+        for i, (key, req, hit) in enumerate(zip(keys, requests, cached)):
+            entry = entries[key]
+            raw = entry.raw
+            if is_classifier:
+                probability = float(self.model.proba_from_raw(raw))
+                prediction = float(probability >= 0.5)
+            else:
+                probability = None
+                prediction = raw
+            if not req.explain:
+                explanation = None
+            elif i in reports:
+                explanation = reports[i]
+            else:
+                explanation = _local_explanation(
+                    raw,
+                    expected_value,
+                    entry.features,
+                    entry.contributions,
+                    next(values),
+                )
+            results.append(
+                _score_result(raw, prediction, probability, explanation, hit)
+            )
+        self._stats.cache_hits += sum(cached)
+        self._stats.batch_dedup_hits += deduped
         self._stats.requests += len(requests)
         self._stats.batches += 1
         self._stats.total_seconds += time.perf_counter() - t0
@@ -304,117 +412,54 @@ class ScoringService:
         )
 
     # ------------------------------------------------------------------
-    def _stack_rows(self, requests: Sequence[ScoreRequest]) -> np.ndarray:
-        return stack_request_rows(requests, self.n_features)
+    def _compute(
+        self,
+        rows: np.ndarray,
+        codes: np.ndarray,
+        entries: dict,
+        predict: dict,
+        explain: dict,
+    ) -> dict:
+        """Run the (at most) two batched engine calls and fill the cache.
 
-    def _plan(self, requests: Sequence[ScoreRequest], codes: np.ndarray) -> _Plan:
-        """Split a batch into cache hits, in-batch duplicates and misses."""
-        plan = _Plan(keys=[], satisfied=[], deduped=[])
-        for i, req in enumerate(requests):
-            key = (self.version, codes[i].tobytes())
-            if key in plan.entry_by_key:
-                entry = plan.entry_by_key[key]
-            elif key in plan.predict_rows:
-                entry = None  # known missing; don't re-count the lookup
-            else:
-                entry = self._cache.get(key)
-                if entry is not None:
-                    plan.entry_by_key[key] = entry
-            needs_predict = entry is None
-            needs_explain = req.explain and (entry is None or entry.phi is None)
-            predict_owner = (
-                plan.predict_rows.setdefault(key, i) if needs_predict else None
-            )
-            explain_owner = (
-                plan.explain_rows.setdefault(key, i) if needs_explain else None
-            )
-            hit = not needs_predict and not needs_explain
-            plan.keys.append(key)
-            plan.satisfied.append(hit)
-            plan.deduped.append(
-                not hit
-                and (predict_owner is None or predict_owner != i)
-                and (explain_owner is None or explain_owner != i)
-            )
-        return plan
-
-    def _compute(self, plan: _Plan, codes: np.ndarray) -> None:
-        """Run the (at most) two batched engine calls and fill the cache."""
-        touched: dict = {}
-        if plan.predict_rows:
-            idx = np.fromiter(plan.predict_rows.values(), dtype=np.int64)
+        Returns the report of each row that ranked its own SHAP values.
+        """
+        if predict:
+            idx = np.fromiter(predict.values(), dtype=np.int64, count=len(predict))
             raw = self._engine.predict_raw_binned(
                 codes[idx], self.model.mapper_.missing_bin
             )
-            for key, r in zip(plan.predict_rows, raw):
-                entry = _Entry(raw=float(r))
-                plan.entry_by_key[key] = entry
-                touched[key] = entry
+            for key, r in zip(predict, raw.tolist()):
+                entries[key] = _Entry(r)
             self._stats.predicted_rows += len(idx)
-        if plan.explain_rows:
-            idx = np.fromiter(plan.explain_rows.values(), dtype=np.int64)
+        reports = {}
+        if explain:
+            idx = np.fromiter(explain.values(), dtype=np.int64, count=len(explain))
             # F order matches the engine's per-tree column gathers (the
             # batch codes are C order for the per-row cache keys).
             phi = self.explainer.shap_values_binned(np.asfortranarray(codes[idx]))
-            for j, key in enumerate(plan.explain_rows):
+            ranked, orders = top_k_features(
+                phi,
+                rows[idx],
+                self.feature_names,
+                prediction=[entries[key].raw for key in explain],
+                expected_value=self.explainer.expected_value,
+                k=self.top_k,
+                return_order=True,
+            )
+            for key, report, order in zip(explain, ranked, orders):
                 # The entry exists by now: either freshly predicted above
-                # or cached with only its SHAP row missing.  Copy the row
-                # out of the batch result so a cached entry doesn't pin
-                # the whole (n, d) array alive for its LRU lifetime.
-                entry = plan.entry_by_key[key]
-                entry.phi = phi[j].copy()
-                touched[key] = entry
+                # or cached with only its ranking missing.
+                entry = entries[key]
+                entry.order = order
+                entry.features = report.features
+                entry.contributions = report.contributions
+            reports = dict(zip(explain.values(), ranked))
             self._stats.explained_rows += len(idx)
-        for key, entry in touched.items():
-            self._cache.put(key, entry)
-
-    def _assemble(
-        self,
-        requests: Sequence[ScoreRequest],
-        rows: np.ndarray,
-        plan: _Plan,
-    ) -> list[ScoreResult]:
-        entries = [plan.entry_by_key[key] for key in plan.keys]
-        # Every report of the batch comes from one top_k_features call
-        # over the stacked SHAP rows of the explained requests.
-        explained = [i for i, req in enumerate(requests) if req.explain]
-        reports = iter(())
-        if explained:
-            reports = iter(
-                top_k_features(
-                    np.stack([entries[i].phi for i in explained]),
-                    rows[explained],
-                    self.feature_names,
-                    prediction=[entries[i].raw for i in explained],
-                    expected_value=self.explainer.expected_value,
-                    k=self.top_k,
-                )
-            )
-        results = []
-        is_classifier = isinstance(self.model, GBClassifier)
-        for i, req in enumerate(requests):
-            raw = entries[i].raw
-            if is_classifier:
-                probability = float(self.model.proba_from_raw(raw))
-                prediction = float(probability >= 0.5)
-            else:
-                probability = None
-                prediction = raw
-            explanation = next(reports) if req.explain else None
-            if plan.satisfied[i]:
-                self._stats.cache_hits += 1
-            elif plan.deduped[i]:
-                self._stats.batch_dedup_hits += 1
-            results.append(
-                ScoreResult(
-                    raw_score=raw,
-                    prediction=prediction,
-                    probability=probability,
-                    explanation=explanation,
-                    cached=plan.satisfied[i],
-                )
-            )
-        return results
+        # Fresh entries first, then cached ones that gained a ranking.
+        for key in chain(predict, (key for key in explain if key not in predict)):
+            self._cache.put(key, entries[key])
+        return reports
 
     # ------------------------------------------------------------------
     @property

@@ -31,6 +31,10 @@ def mapper_and_matrix(draw):
     fit = np.round(rng.normal(size=(draw(st.integers(1, 300)), d)), 2)
     fit[rng.random(fit.shape) < 0.2] = np.nan
     if draw(st.booleans()):
+        # -1/+1 alternating puts an edge at exactly 0.0, which -0.0 must
+        # hit from the same side as 0.0.
+        fit[:, rng.integers(d)] = np.where(np.arange(len(fit)) % 2, 1.0, -1.0)
+    if draw(st.booleans()):
         fit[:, rng.integers(d)] = np.nan  # an all-missing feature
     mapper = BinMapper(max_bins=max_bins).fit(fit)
     edges = np.concatenate(mapper.bin_edges_ + [np.zeros(1)])

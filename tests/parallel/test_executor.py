@@ -1,5 +1,7 @@
 """Unit tests for the deterministic fan-out executor."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,27 @@ def _worker_probe(item, state):
 
 def _echo(item, state):
     return item
+
+
+def _call_or_echo(item, state):
+    return item() if callable(item) else item
+
+
+class _CountingProbe:
+    """An item that counts, in the parent, how often it is pickled."""
+
+    reductions: collections.Counter = collections.Counter()
+
+    def __init__(self, n):
+        self.n = n
+
+    def __reduce__(self):
+        _CountingProbe.reductions[self.n] += 1
+        return (_CountingProbe, (self.n,))
+
+
+def _probe_id(item, state):
+    return item.n
 
 
 def _boom(item, state):
@@ -140,6 +163,20 @@ class TestParallelMap:
     def test_unpicklable_fn_falls_back_to_serial(self):
         double = lambda item, state: item * 2  # noqa: E731
         assert parallel_map(double, range(5), n_jobs=2) == [0, 2, 4, 6, 8]
+
+    def test_unpicklable_item_runs_in_process_in_order(self):
+        items = [0, 1, lambda: 2, 3, lambda: 4, 5]  # lambdas cannot pickle
+        assert parallel_map(_call_or_echo, items, n_jobs=2) == list(range(6))
+
+    def test_each_item_is_pickled_once_per_send(self):
+        _CountingProbe.reductions.clear()
+        items = [_CountingProbe(n) for n in range(6)]
+        assert parallel_map(_probe_id, items, n_jobs=2) == list(range(6))
+        counts = [_CountingProbe.reductions[n] for n in range(6)]
+        # An item a dead worker never received runs in-process unpickled.
+        assert set(counts) <= {0, 1}
+        if not faults_active():
+            assert counts == [1] * 6
 
     def test_unit_exception_propagates(self):
         with pytest.raises(ValueError, match="unit 2 failed"):

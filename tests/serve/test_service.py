@@ -1,19 +1,26 @@
 """Unit tests for repro.serve.service (micro-batched scoring)."""
 
+import dataclasses
 import os
 import pickle
 import subprocess
 import sys
 import textwrap
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.boosting import GBClassifier, GBRegressor
 from repro.boosting.serialize import model_from_dict, model_to_dict
-from repro.explain import TreeShapExplainer
+from repro.explain import LocalExplanation, TreeShapExplainer
+from repro.explain.reference import reference_top_k_features
+from repro.explain.reports import _local_explanation
 from repro.serve import ModelRegistry, ScoreRequest, ScoringService
+from repro.serve.service import ScoreResult, _score_result, stack_request_rows
 
 
 def explanations_equal(a, b) -> bool:
@@ -111,6 +118,239 @@ class TestExactness:
         assert results[0].raw_score - explainer.expected_value == pytest.approx(
             float(explainer.shap_values(rows[:1]).sum()), abs=1e-9
         )
+
+
+@pytest.fixture(scope="module")
+def models(regressor, classifier):
+    """Both fitted models, each with twin rows: other raw values, same codes."""
+    out = {}
+    for kind, (model, X) in (("regressor", regressor), ("classifier", classifier)):
+        pool = X[:8]
+        twins = pool + 1e-9 * np.where(np.isnan(pool), 0.0, 1.0)
+        assert np.array_equal(model.bin(pool), model.bin(twins))
+        assert not np.array_equal(pool, twins, equal_nan=True)
+        out[kind] = (model, pool, twins)
+    return out
+
+
+def result_bits(result, with_cached: bool = True) -> tuple:
+    """Every field of a :class:`ScoreResult`, floats as ``.hex()`` text."""
+
+    def bits(x):
+        return None if x is None else float(x).hex()
+
+    report = result.explanation
+    if report is not None:
+        report = (
+            bits(report.prediction),
+            bits(report.expected_value),
+            report.features,
+            tuple(map(bits, report.contributions)),
+            tuple(map(bits, report.values)),
+        )
+    fields = (
+        bits(result.raw_score),
+        bits(result.prediction),
+        bits(result.probability),
+        report,
+    )
+    return fields + (result.cached,) if with_cached else fields
+
+
+class CacheModel:
+    """The service's cache and counter semantics, one row at a time.
+
+    An LRU of ``key -> ranked`` replayed from the batch's requests: the
+    first row of a key looks it up once, a row is cached when the key
+    was found with everything the row needs, a row is deduped when an
+    earlier row of the batch computes what it needs, and computed keys
+    are stored fresh ones first, then cached ones that gained a ranking.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.lru: OrderedDict = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
+        self.counters = dict.fromkeys(
+            ["requests", "batches", "cache_hits", "batch_dedup_hits",
+             "predicted_rows", "explained_rows"], 0
+        )
+
+    def batch(self, keys, explain) -> list[bool]:
+        found: dict = {}
+        predict: dict = {}
+        ranks: dict = {}
+        cached = []
+        for i, (key, wants) in enumerate(zip(keys, explain)):
+            if key not in found:
+                found[key] = self.lru.get(key)
+                if found[key] is None:
+                    self.misses += 1
+                else:
+                    self.hits += 1
+                    self.lru.move_to_end(key)
+            ranked = found[key]
+            if ranked is None:
+                owner = predict.setdefault(key, i) == i
+                if wants:
+                    owner = ranks.setdefault(key, i) == i or owner
+            elif wants and ranked == "unranked":
+                owner = ranks.setdefault(key, i) == i
+            else:
+                cached.append(True)
+                continue
+            cached.append(False)
+            self.counters["batch_dedup_hits"] += not owner
+        for key in [*predict, *(k for k in ranks if k not in predict)]:
+            if self.capacity == 0:
+                continue
+            is_ranked = key in ranks or found[key] == "ranked"
+            self.lru[key] = "ranked" if is_ranked else "unranked"
+            self.lru.move_to_end(key)
+            if len(self.lru) > self.capacity:
+                self.lru.popitem(last=False)
+                self.evictions += 1
+        self.counters["requests"] += len(keys)
+        self.counters["batches"] += 1
+        self.counters["cache_hits"] += sum(cached)
+        self.counters["predicted_rows"] += len(predict)
+        self.counters["explained_rows"] += len(ranks)
+        return cached
+
+
+#: One request: (pool row, explain?, twin row instead of the pool row?).
+_REQUEST = st.tuples(st.integers(0, 7), st.booleans(), st.booleans())
+
+
+class TestHitPathDifferential:
+    """Batches through the cache vs. a cache-free service and the oracle."""
+
+    @given(
+        kind=st.sampled_from(["regressor", "classifier"]),
+        capacity=st.sampled_from([1, 2, 3, 5, 4096]),
+        top_k=st.sampled_from([1, 3, 5, 9]),
+        batches=st.lists(
+            st.lists(_REQUEST, min_size=1, max_size=12), min_size=1, max_size=4
+        ),
+    )
+    # A cached row upgraded to explain next to a fresh row, capacity 1:
+    # the fresh entry is stored first, so the upgraded one survives.
+    @example(
+        kind="regressor",
+        capacity=1,
+        top_k=3,
+        batches=[
+            [(0, False, False)],
+            [(0, True, False), (1, False, False)],
+            [(0, True, True)],
+        ],
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_batch_bitwise_equal_and_counted(
+        self, models, kind, capacity, top_k, batches
+    ):
+        model, pool, twins = models[kind]
+        service = ScoringService(model, version="v", cache_size=capacity, top_k=top_k)
+        fresh = ScoringService(model, version="v", cache_size=0, top_k=top_k)
+        names = service.feature_names
+        expected_value = service.explainer.expected_value
+        cache = CacheModel(capacity)
+        for batch in batches:
+            rows = np.array([(twins if twin else pool)[i] for i, _, twin in batch])
+            explain = [wants for _, wants, _ in batch]
+            requests = [
+                ScoreRequest(row=row, explain=wants)
+                for row, wants in zip(rows, explain)
+            ]
+            got = service.score_batch(requests)
+            want = fresh.score_batch(requests)
+            codes = model.bin(rows)
+            cached = cache.batch([("v", c.tobytes()) for c in codes], explain)
+            phi = service.explainer.shap_values_binned(np.asfortranarray(codes))
+            for j, (g, w) in enumerate(zip(got, want)):
+                assert result_bits(g, False) == result_bits(w, False)
+                assert g.cached == cached[j]
+                if explain[j]:
+                    # The values come from the requesting row, never
+                    # from the twin that filled the cache.
+                    oracle = reference_top_k_features(
+                        phi[j], rows[j], names, g.raw_score, expected_value, k=top_k
+                    )
+                    assert result_bits(g)[3] == result_bits(
+                        dataclasses.replace(g, explanation=oracle)
+                    )[3]
+            stats = dataclasses.asdict(service.stats)
+            stats.pop("total_seconds")
+            assert stats == cache.counters
+            assert dataclasses.astuple(service.cache_stats) == (
+                cache.hits, cache.misses, cache.evictions, len(cache.lru), capacity
+            )
+
+
+def _loop_stack(requests, n_features):
+    """The per-row loop the batched stacking must agree with."""
+    rows = np.empty((len(requests), n_features), dtype=np.float64)
+    for i, req in enumerate(requests):
+        row = np.asarray(req.row, dtype=np.float64)
+        if row.shape != (n_features,):
+            raise ValueError(
+                f"request {i}: expected row of shape "
+                f"({n_features},), got {row.shape}"
+            )
+        rows[i] = row
+    return rows
+
+
+_D = 4
+_GARBAGE_ROW = st.one_of(
+    st.lists(st.floats(width=64), min_size=_D, max_size=_D),  # well formed
+    st.lists(st.floats(width=64), min_size=0, max_size=2 * _D),  # any length
+    st.lists(
+        st.lists(st.floats(width=64), min_size=_D, max_size=_D), min_size=1, max_size=2
+    ),
+    st.lists(st.sampled_from(["1.5", "nan", "x", ""]), min_size=_D, max_size=_D),
+    st.lists(st.one_of(st.none(), st.floats(width=64)), min_size=_D, max_size=_D),
+    st.sampled_from([None, "row", 3.0, (), {}, [[1.0], [2.0], [3.0], [4.0]]]),
+    st.lists(st.sampled_from([1.0, 1j, {}]), min_size=_D, max_size=_D),
+    st.builds(lambda n: np.zeros((1, n)), st.integers(0, _D + 1)),
+)
+
+
+class TestGarbageRows:
+    @given(rows=st.lists(_GARBAGE_ROW, min_size=1, max_size=6))
+    @example(rows=[None, {}])  # the batch raises TypeError, the loop ValueError
+    @settings(max_examples=300, deadline=None)
+    def test_batched_stacking_raises_like_the_loop(self, rows):
+        requests = [ScoreRequest(row=row) for row in rows]
+        try:
+            want = _loop_stack(requests, _D)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as caught:
+                stack_request_rows(requests, _D)
+            assert str(caught.value) == str(exc)
+        else:
+            got = stack_request_rows(requests, _D)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestPrivateConstructors:
+    def test_same_object_as_the_public_constructor(self):
+        report_args = (0.25, -0.5, ("a", "b"), (0.125, -0.0), (float("inf"), 3.0))
+        report = LocalExplanation(*report_args)
+        built = _local_explanation(*report_args)
+        result_args = (0.25, 1.0, 0.75, report, True)
+        result = ScoreResult(*result_args)
+        built_result = _score_result(*result_args[:3], built, True)
+        for public, private in ((report, built), (result, built_result)):
+            assert type(private) is type(public)
+            assert private == public and hash(private) == hash(public)
+            assert repr(private) == repr(public)
+            assert pickle.loads(pickle.dumps(private)) == public
+            assert dataclasses.replace(private) == public
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                private.cached = False
+        changed = dataclasses.replace(built_result, cached=False)
+        assert changed.cached is False and changed.explanation is built
 
 
 class TestCompactPath:
