@@ -10,10 +10,11 @@ rows from the exact (bin-code-keyed) result cache.
 
 The acceptance target is a >= 5x throughput win for repeated-cohort
 traffic; in practice micro-batching alone clears it and the cache adds
-an order of magnitude on top.  The multi-worker bench routes the same
-workload through the :class:`~repro.serve.router.ScoringRouter` at
-``REPRO_JOBS=4`` — asserting bitwise-identical answers always, and a
->= 2x throughput win over the single-process service above 2 cores.
+an order of magnitude on top.  The multi-worker bench runs the same
+workload through a :class:`~repro.serve.service.ScoringService` with
+four TreeSHAP workers (``n_jobs=4``) — asserting bitwise-identical
+answers always, and a >= 2x throughput win over the single-process
+service above 2 cores.
 Steady serving throughput and latency are ``perfbench``'s
 ``serve_cold`` and ``serve_hot`` workloads.
 """
@@ -22,12 +23,7 @@ import os
 import time
 
 from repro.explain import TreeShapExplainer, local_reports
-from repro.serve import (
-    ModelRegistry,
-    ScoreRequest,
-    ScoringRouter,
-    ScoringService,
-)
+from repro.serve import ModelRegistry, ScoreRequest, ScoringService
 
 #: Visits per patient in the request stream (each distinct row recurs).
 REVISITS = 4
@@ -49,7 +45,7 @@ def _naive_pass(model, explainer, stream, feature_names):
 
 
 def _service_pass(target, stream):
-    """Micro-batched scoring of a stream (service or router front)."""
+    """Micro-batched scoring of a stream through one service."""
     out = []
     for start in range(0, len(stream), MICRO_BATCH):
         block = stream[start : start + MICRO_BATCH]
@@ -130,7 +126,7 @@ def test_serve_cache_hot_latency(ctx):
 
 
 def test_serve_multiworker_throughput(ctx):
-    """4 router workers vs the single-process service.
+    """A service with 4 TreeSHAP workers vs the single-process service.
 
     Equivalence is asserted unconditionally (every answer bitwise
     identical, cache-cold and cache-hot); the >= 2x throughput floor
@@ -148,22 +144,22 @@ def test_serve_multiworker_throughput(ctx):
     t_single = time.perf_counter() - t0
 
     jobs = 4
-    with ScoringRouter(
+    with ScoringService(
         result.model,
         feature_names=feature_names,
         n_jobs=jobs,
         version=service.version,
-    ) as router:
+    ) as pooled:
         t0 = time.perf_counter()
-        routed = _service_pass(router, stream)
-        t_router = time.perf_counter() - t0
+        split = _service_pass(pooled, stream)
+        t_pooled = time.perf_counter() - t0
 
     # Bitwise identity with the single-process service on the same
     # request stream: raw scores, predictions, cache hits, and every
     # attribution report field (the engine is row-deterministic, the
-    # shard caches are exact).
-    assert len(routed) == len(single)
-    for got, want in zip(routed, single):
+    # one cache is exact).
+    assert len(split) == len(single)
+    for got, want in zip(split, single):
         assert got.raw_score == want.raw_score
         assert got.prediction == want.prediction
         assert got.cached == want.cached
@@ -172,10 +168,10 @@ def test_serve_multiworker_throughput(ctx):
             got.explanation.contributions == want.explanation.contributions
         )
 
-    speedup = t_single / t_router
+    speedup = t_single / t_pooled
     if (os.cpu_count() or 1) > 2:
         assert speedup >= 2.0, (
             f"speedup {speedup:.2f}x < 2x: single process {t_single:.3f}s, "
-            f"router x{router.workers} {t_router:.3f}s on "
+            f"{pooled.workers} workers {t_pooled:.3f}s on "
             f"{os.cpu_count()} CPUs"
         )

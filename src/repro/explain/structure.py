@@ -27,8 +27,8 @@ Every reduction a structure participates in (``hot_fractions``'s
 axis, independently per sample row.  Combined with the elementwise
 EXTEND/UNWIND recurrences in :mod:`repro.explain.treeshap`, a row's
 SHAP values are therefore **bitwise identical no matter which batch the
-row arrives in** — the property that lets the multi-worker scoring
-plane (:mod:`repro.serve.router`) shard batches across processes and
+row arrives in** — the property that lets the scoring service
+(:mod:`repro.serve.service`) split a batch's rows across processes and
 the parallel sweeps (:func:`repro.experiments.shap_sweep.parallel_shap`)
 shard rows across the executor without changing a single output bit.
 (``tests/explain/test_row_determinism.py`` asserts it.)

@@ -67,10 +67,18 @@ __all__ = [
 
 #: Known injection sites.  Parent-side sites are evaluated in the pool
 #: owner via ``should_kill``; the rest run inside workers (or inline,
-#: for ``registry.publish``) via ``inject``.
+#: for ``registry.publish``) via ``inject``.  A worker passes
+#: ``worker.boot`` before it reads its state, ``worker.setup`` before it
+#: unpickles it.
 PARENT_SITES = frozenset({"shard.send"})
 SITES = PARENT_SITES | frozenset(
-    {"shard.task", "shard.task.done", "worker.setup", "registry.publish"}
+    {
+        "shard.task",
+        "shard.task.done",
+        "worker.boot",
+        "worker.setup",
+        "registry.publish",
+    }
 )
 
 ACTIONS = frozenset({"kill", "exit", "stall", "fail", "tear"})

@@ -19,12 +19,12 @@ the serial default:
 * ``N > 1`` — a process pool of N workers;
 * ``0`` or ``-1`` — one worker per CPU, at most :data:`MAX_JOBS`.
 
-The pool's ``state`` (a sample set, a pickled service, an explainer and
-its rows) is pickled once in the parent and sent down each worker's own
-pipe as its first message, so it is unpickled once per *worker*, never
-per task.  Nested parallelism is suppressed: inside a worker
-:func:`resolve_jobs` always answers 1, so e.g. a protocol run fanned
-out by the grid does not fork a second-level pool.
+The pool's ``state`` (a sample set, a serving model's explainer, an
+explainer and its rows) is pickled once in the parent and sent down
+each worker's own pipe as its first message, so it is unpickled once
+per *worker*, never per task.  Nested parallelism is suppressed:
+inside a worker :func:`resolve_jobs` always answers 1, so e.g. a
+protocol run fanned out by the grid does not fork a second-level pool.
 
 Tasks must be picklable (module-level functions, plain-data items) to
 run on the process backend; anything unpicklable — a lambda model
@@ -36,14 +36,14 @@ One supervisor, two clients
 :class:`ShardedPool` is the only code that spawns, heals, kills and
 closes workers.  Each long-lived worker unpickles the state once, and a
 task tagged with shard ``s`` always executes on worker ``s %
-n_workers`` (so worker-local state such as an LRU result cache sees a
-deterministic task subsequence); a task whose shard is ``None`` goes to
-whichever worker goes idle first.  Its clients:
+n_workers``; a task whose shard is ``None`` goes to whichever worker
+goes idle first.  Its clients:
 
 * :func:`parallel_map` — one pool per call over unsharded tasks: the
   grid's protocol runs, folds, clinics and ablation arms;
-* :class:`~repro.serve.router.ScoringRouter` — row shards hashed by bin
-  codes, one persistent pool per model version.
+* :class:`~repro.serve.service.ScoringService` — one persistent pool
+  per model version whose state is the version's TreeSHAP explainer;
+  a batch's cache-miss rows go out as one contiguous chunk per worker.
 """
 
 from __future__ import annotations
@@ -205,11 +205,12 @@ class ShardedPool:
     pipe as its first message — only after every worker has started,
     since under ``spawn`` a send blocks until its child has booted — so
     every worker unpickles its own copy exactly once, and a task tagged
-    with shard ``s`` always executes on worker ``s % n_workers``.
-    Worker-local state — the scoring plane's per-shard LRU caches above
-    all — therefore sees a deterministic subsequence of the task
-    stream.  A task tagged with shard ``None`` has no affinity and goes
-    to whichever worker goes idle first.
+    with shard ``s`` always executes on worker ``s % n_workers``.  A
+    task tagged with shard ``None`` has no affinity and goes to
+    whichever worker goes idle first.  A worker that does not take its
+    state within :attr:`_BOOT_TIMEOUT` seconds is killed and its slot
+    marked dead, so neither the constructor nor a respawn can block
+    for good on a child that never reads.
 
     With ``n_jobs <= 1``, an unpicklable state, or no way to start
     workers the pool degrades to in-process execution on the ``state``
@@ -220,17 +221,16 @@ class ShardedPool:
 
     Self-healing
     ------------
-    A dead worker slot is not permanent: at the start of every
-    :meth:`scatter` the pool respawns crashed workers (bounded per-slot
-    budget, exponential backoff) and sends the new worker the same state
-    bytes into the same slot — shard ownership is a pure
+    A dead worker slot is not permanent: :meth:`heal`, which every
+    :meth:`scatter` starts with, respawns crashed workers (bounded
+    per-slot budget, exponential backoff) and sends the new worker the
+    same state bytes into the same slot — shard ownership is a pure
     function of the slot index, so a respawned worker serves exactly
     the shard subsequence its predecessor would have and results stay
-    bitwise identical under any kill schedule (only worker-local cache
-    *bookkeeping* restarts cold).  With ``task_deadline`` set, a worker
-    that is stuck rather than dead is detected mid-batch: its in-flight
-    task is recomputed in-process, the process is killed and the slot
-    becomes eligible for respawn.  :attr:`workers_respawned` and
+    bitwise identical under any kill schedule.  With ``task_deadline``
+    set, a worker that is stuck rather than dead is detected mid-batch:
+    its in-flight task is recomputed in-process, the process is killed
+    and the slot becomes eligible for respawn.  :attr:`workers_respawned` and
     :attr:`deadline_kills` expose both recovery paths to the ops plane;
     `tests/faults/` drives them with deterministic fault plans
     (:mod:`repro.faults`).
@@ -256,6 +256,8 @@ class ShardedPool:
     #: Per-slot respawn budget and base backoff (doubles per attempt).
     _RESPAWN_LIMIT = 3
     _RESPAWN_BACKOFF = 0.05
+    #: Seconds a started worker has to take its state off the pipe.
+    _BOOT_TIMEOUT = 30.0
 
     def __init__(
         self,
@@ -298,8 +300,7 @@ class ShardedPool:
             self._closed = False
             self.workers = 1
             return
-        for w in range(self.workers):
-            self._send_state(w)
+        self._send_states(range(self.workers))
 
     # ------------------------------------------------------------------
     def _spawn_worker(self, w: int) -> None:
@@ -329,11 +330,36 @@ class ShardedPool:
         except (BrokenPipeError, OSError):
             self._mark_dead(w)
 
-    def _heal(self) -> None:
-        """Respawn dead slots, budgeted and backed off, before a batch.
+    def _send_states(self, slots: Iterable[int]) -> None:
+        """Send every slot its state, each from its own short-lived thread.
 
-        The respawned worker gets the same state bytes and takes over
-        the same slot, so shard affinity — and with it result identity —
+        Under ``spawn`` a send larger than the pipe buffer blocks until
+        the child reads, so each send is joined against one shared
+        :attr:`_BOOT_TIMEOUT`.  A worker still not reading by then is
+        killed, which breaks its pipe and ends the send, and its slot
+        is marked dead: its tasks run in-process and :meth:`heal`
+        retries the slot within its budget.
+        """
+        senders = {}
+        for w in slots:
+            sender = threading.Thread(target=self._send_state, args=(w,), daemon=True)
+            sender.start()
+            senders[w] = sender
+        expiry = time.perf_counter() + self._BOOT_TIMEOUT
+        for w, sender in senders.items():
+            sender.join(max(0.0, expiry - time.perf_counter()))
+            if sender.is_alive():
+                self._kill_worker(w)
+                sender.join(self.close_timeout)
+                self._mark_dead(w)
+
+    def heal(self) -> None:
+        """Respawn dead slots, budgeted and backed off (idempotent).
+
+        :meth:`scatter` calls this first; a client that answers some
+        batches without the pool calls it per batch as well.  The
+        respawned worker gets the same state bytes and takes over the
+        same slot, so shard affinity — and with it result identity —
         is unchanged.  A slot that keeps dying (e.g. its setup keeps
         failing) exhausts its budget and stays on the in-process
         fallback for good.
@@ -357,8 +383,7 @@ class ShardedPool:
             self._dead.discard(w)
             self.workers_respawned += 1
             respawned.append(w)
-        for w in respawned:  # after the starts, as in __init__
-            self._send_state(w)
+        self._send_states(respawned)  # after the starts, as in __init__
 
     def _kill_worker(self, w: int) -> None:
         """SIGKILL slot ``w``'s process (deadline reaper / fault site)."""
@@ -373,7 +398,7 @@ class ShardedPool:
         """Workers still executing remotely (1 when running in-process).
 
         Dead workers' shards fall back to in-process recompute until
-        the supervisor respawns them (next :meth:`scatter`), so the
+        the supervisor respawns them (next :meth:`heal`), so the
         pool keeps answering — this is the ops-plane signal that
         capacity is degraded, not correctness.
         """
@@ -407,7 +432,7 @@ class ShardedPool:
         """
         if self._closed:
             raise RuntimeError("pool is closed")
-        self._heal()
+        self.heal()
         if (
             self.workers <= 1
             or len(self._dead) == len(self._procs)
@@ -561,6 +586,7 @@ def _shard_worker_loop(conn, worker_index):
     """One shard worker: unpickle the state once, then serve tasks."""
     global _IN_WORKER
     _IN_WORKER = True
+    inject("worker.boot", worker_index)
     try:
         state_bytes = conn.recv_bytes()
     except (EOFError, OSError):  # parent went away before the state

@@ -15,24 +15,20 @@ fitted model assisting many clinical visits, scaled to heavy traffic:
     Accepts heterogeneous requests (predict-only and predict+explain
     mixed), micro-batches them into single ``predict_binned`` /
     batched-TreeSHAP calls, and reuses the preprocessed per-tree
-    structures across every request of the service's lifetime.
+    structures across every request of the service's lifetime.  With
+    ``n_jobs > 1`` it splits the TreeSHAP call for each batch's
+    cache-miss rows over worker processes that hold the pickled
+    explainer; the cache and everything else stay in the calling
+    process, so output is bitwise-identical at every worker count.
 ``LRUCache``
     Exact result cache keyed on ``(model version, row bin codes)``.  The
     bin codes are the model's own quantized view of a row — two rows
     with equal codes are indistinguishable to every tree — so cache hits
     return bitwise-identical predictions and SHAP values, never
     approximations.
-``ScoringRouter``
-    The multi-worker scoring plane (:mod:`repro.serve.router`): the
-    parent builds one ``ScoringService`` per version and hands it to
-    the worker pool as its state, pickled once; N workers each unpickle
-    their own empty-cache copy, and
-    the router shards each micro-batch of heterogeneous requests by
-    bin-code hash.  Output is bitwise-identical to the single-process
-    service for every worker count.
 ``ScoringServer``
     The network edge (:mod:`repro.serve.server`): an asyncio HTTP/1.1
-    front end that batches posts on arrival over the router, admission
+    front end that batches posts on arrival over the service, admission
     control (:mod:`repro.serve.admission`), hot model swap driven by
     the registry's ``LATEST`` pointer, and a ``/metrics`` ops endpoint
     (:mod:`repro.serve.stats`).  Responses stay bitwise-identical to
@@ -40,13 +36,12 @@ fitted model assisting many clinical visits, scaled to heavy traffic:
 ``python -m repro serve``
     Driver (:mod:`repro.serve.driver`): publish models into a registry,
     score cohort CSV tables end-to-end (streamed in chunks, optionally
-    multi-worker via ``--jobs``), and ``start`` the HTTP server.
+    with TreeSHAP workers via ``--jobs``), and ``start`` the HTTP server.
 """
 
 from repro.serve.admission import AdmissionController
 from repro.serve.cache import CacheStats, LRUCache
 from repro.serve.registry import ModelRegistry, ModelVersion, model_fingerprint
-from repro.serve.router import RouterStats, ScoringRouter
 from repro.serve.server import ScoringServer, ServerThread, result_to_wire
 from repro.serve.service import (
     ScoreRequest,
@@ -66,10 +61,8 @@ __all__ = [
     "model_fingerprint",
     "metrics_payload",
     "result_to_wire",
-    "RouterStats",
     "ScoreRequest",
     "ScoreResult",
-    "ScoringRouter",
     "ScoringServer",
     "ScoringService",
     "ServerThread",

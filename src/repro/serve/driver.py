@@ -10,8 +10,8 @@ Four subcommands cover the train-once / score-later lifecycle::
     python -m repro serve versions --registry models/ --name sppb
 
     # score a cohort CSV end-to-end (micro-batched, cached, optionally
-    # with per-row attribution reports; --jobs N runs the multi-worker
-    # scoring plane)
+    # with per-row attribution reports; --jobs N splits each batch's
+    # TreeSHAP work on cache misses over N worker processes)
     python -m repro serve score --registry models/ --name sppb \\
         --input visits.csv --out scored.csv --explain --jobs 4
 
@@ -42,9 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.boosting import GBClassifier, GBConfig, GBRegressor
+from repro.parallel.executor import resolve_jobs
 from repro.serve.registry import ModelRegistry
-from repro.serve.router import ScoringRouter
-from repro.serve.service import ScoreRequest
+from repro.serve.service import ScoreRequest, ScoringService
 from repro.tabular.column import ColumnType
 from repro.tabular.io import CsvBatchWriter, iter_csv_batches, read_csv
 from repro.tabular.table import Table
@@ -370,23 +370,20 @@ def _score(args: argparse.Namespace) -> int:
             f"{len(features)} feature columns named, but {version.ref} "
             f"was fitted on {version.n_features} features"
         )
-    router = ScoringRouter.from_registry(
+    with ScoringService.from_registry(
         registry,
         args.name,
         args.tag,
         feature_names=list(features),
-        n_jobs=args.jobs,
+        n_jobs=resolve_jobs(args.jobs),
         cache_size=args.cache_size,
         top_k=args.top_k,
-    )
-    try:
-        return _score_stream(args, router, version, list(features))
-    finally:
-        router.close()
+    ) as service:
+        return _score_stream(args, service, version, list(features))
 
 
-def _score_stream(args, router, version, features: list[str]) -> int:
-    """Stream input chunks through the router, appending outputs.
+def _score_stream(args, service, version, features: list[str]) -> int:
+    """Stream input chunks through the service, appending outputs.
 
     Peak memory holds one ``--chunk-rows`` chunk, its results and the
     model — never the whole cohort.  Chunking does not change a
@@ -407,7 +404,7 @@ def _score_stream(args, router, version, features: list[str]) -> int:
             for start in range(0, X.shape[0], args.batch_size):
                 block = X[start : start + args.batch_size]
                 results.extend(
-                    router.score_batch(
+                    service.score_batch(
                         [
                             ScoreRequest(row=block[i], explain=args.explain)
                             for i in range(block.shape[0])
@@ -467,9 +464,9 @@ def _score_stream(args, router, version, features: list[str]) -> int:
     print(f"scored {n_rows} rows with {version.ref} -> {args.out}")
     if args.explain:
         print(f"wrote {n_rows} attribution reports -> {report_path}")
-    cache = router.cache_stats
+    cache = service.cache_stats
     rate = n_rows / elapsed if elapsed > 0 else float("inf")
-    workers = f", {router.workers} workers" if router.workers > 1 else ""
+    workers = f", {service.workers} workers" if service.workers > 1 else ""
     print(
         f"  {elapsed:.3f}s ({rate:.0f} rows/s{workers}), cache hit rate "
         f"{100 * cache.hit_rate:.1f}% ({cache.hits} hits / {cache.misses} misses)"

@@ -1,19 +1,20 @@
-"""Asyncio HTTP front end over the multi-worker scoring plane.
+"""Asyncio HTTP front end over the scoring service.
 
-:class:`ScoringServer` puts a network edge on the serving stack built in
-PRs 3/5/7: a hand-rolled HTTP/1.1 server (asyncio streams, keep-alive)
-that accepts ``POST /predict`` / ``POST /explain`` JSON requests,
-coalesces them into micro-batches **on arrival** (the only batch former
-in the serving stack), and executes each batch with one
-:meth:`~repro.serve.router.ScoringRouter.score_batch` call on the
-:class:`~repro.parallel.executor.ShardedPool` plane.
+:class:`ScoringServer` puts a network edge on the serving stack: a
+hand-rolled HTTP/1.1 server (asyncio streams, keep-alive) that accepts
+``POST /predict`` / ``POST /explain`` JSON requests, coalesces them into
+micro-batches **on arrival** (the only batch former in the serving
+stack), and executes each batch with one
+:meth:`~repro.serve.service.ScoringService.score_batch` call, whose
+TreeSHAP work on cache misses may be split over the service's worker
+processes.
 
 Determinism contract
 --------------------
 Every response is **bitwise identical** to the in-process
 :class:`~repro.serve.service.ScoringService` on the same request
 stream, at every worker count, cache-cold and cache-hot: the engines
-are row-deterministic, the caches are exact, JSON serialises floats by
+are row-deterministic, the one cache is exact, JSON serialises floats by
 shortest round-trip repr (``json.loads(json.dumps(x)) == x`` exactly),
 and a batch is always a run of *whole* posts — one response is never
 assembled from two model versions.  NaN feature values encode as JSON
@@ -21,11 +22,12 @@ assembled from two model versions.  NaN feature values encode as JSON
 
 Concurrency model
 -----------------
-Everything except scoring runs on the event-loop thread.  The pool is
-single-owner (see :class:`~repro.parallel.executor.ShardedPool`), so all
-router calls are funnelled through a one-thread executor (``_scorer``);
-a second one-thread executor (``_builder``) builds replacement routers
-in the background so a hot swap never stalls traffic.  The flow:
+Everything except scoring runs on the event-loop thread.  A service's
+worker pool is single-owner (see
+:class:`~repro.parallel.executor.ShardedPool`), so all service calls are
+funnelled through a one-thread executor (``_scorer``); a second
+one-thread executor (``_builder``) builds replacement services in the
+background so a hot swap never stalls traffic.  The flow:
 
 * **Handlers** parse a POST, ask the :class:`~repro.serve.admission
   .AdmissionController` for queue budget (refusing with ``429`` +
@@ -35,17 +37,17 @@ in the background so a hot swap never stalls traffic.  The flow:
   staged, and never on a timer.  An idle flusher scores the first post
   at once; posts that arrive while a batch is scoring wait in the
   queue and form the next batch, a run of whole posts of at most
-  ``max_batch`` rows.  It scores each batch via the router on the
+  ``max_batch`` rows.  It scores each batch via the service on the
   scorer thread and resolves each post's future.
 * **The watcher task** polls the :class:`~repro.serve.registry
   .ModelRegistry` ``LATEST`` pointer; on a new version it builds a
-  fresh router (new service + workers) on the builder thread and
-  stages it.  The flusher applies staged swaps **between batches**,
-  and at once when idle: zero requests are dropped, no response mixes
-  versions, and the old router is closed only after its last batch.
+  fresh service (and its workers) on the builder thread and stages
+  it.  The flusher applies staged swaps **between batches**, and at
+  once when idle: zero requests are dropped, no response mixes
+  versions, and the old service is closed only after its last batch.
 * **Shutdown** (:meth:`stop`, idempotent) stops accepting, lets the
   flusher drain every admitted post, waits for the responses to flush
-  to the sockets, then tears down routers and executors — the
+  to the sockets, then tears down services and executors — the
   SIGTERM-on-a-busy-server test asserts the zero-drop contract.
 """
 
@@ -67,8 +69,7 @@ import numpy as np
 from repro.parallel.executor import resolve_deadline, resolve_jobs
 from repro.serve.admission import AdmissionController
 from repro.serve.registry import ModelRegistry
-from repro.serve.router import ScoringRouter
-from repro.serve.service import ScoreRequest, ScoreResult
+from repro.serve.service import ScoreRequest, ScoreResult, ScoringService
 from repro.serve.stats import LatencyWindow, ServerStats, metrics_payload
 
 __all__ = ["ScoringServer", "ServerThread", "result_to_wire"]
@@ -165,47 +166,47 @@ class _Post:
 
 
 class _StagedSlot:
-    """Thread-safe holder of the staged hot-swap router.
+    """Thread-safe holder of the staged hot-swap service.
 
     Staging happens on the builder thread, the swap on the event loop,
     and the shutdown sweep must never race either — the lock makes
-    stage/pop/seal atomic, and a sealed slot hands a late-built router
+    stage/pop/seal atomic, and a sealed slot hands a late-built service
     straight back for closing instead of dropping it (the staged-leak
-    regression: a router is never in flight outside this slot).
+    regression: a service is never in flight outside this slot).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._value: tuple[str, ScoringRouter] | None = None
+        self._value: tuple[str, ScoringService] | None = None
         self._sealed = False
 
     def tag(self) -> str | None:
-        """Tag of the currently staged router, if any."""
+        """Tag of the currently staged service, if any."""
         with self._lock:
             return None if self._value is None else self._value[0]
 
-    def stage(self, tag: str, router: ScoringRouter) -> ScoringRouter | None:
-        """Stage ``router``; return whatever the caller must close.
+    def stage(self, tag: str, service: ScoringService) -> ScoringService | None:
+        """Stage ``service``; return whatever the caller must close.
 
-        Normally that is the previously staged router it displaced;
-        on a sealed slot (shutdown began) it is ``router`` itself,
+        Normally that is the previously staged service it displaced;
+        on a sealed slot (shutdown began) it is ``service`` itself,
         which must be closed before it ever serves.
         """
         with self._lock:
             if self._sealed:
-                return router
+                return service
             previous = self._value
-            self._value = (tag, router)
+            self._value = (tag, service)
         return None if previous is None else previous[1]
 
-    def pop(self) -> tuple[str, ScoringRouter] | None:
-        """Take the staged (tag, router) pair, leaving the slot empty."""
+    def pop(self) -> tuple[str, ScoringService] | None:
+        """Take the staged (tag, service) pair, leaving the slot empty."""
         with self._lock:
             value = self._value
             self._value = None
         return value
 
-    def seal(self) -> tuple[str, ScoringRouter] | None:
+    def seal(self) -> tuple[str, ScoringService] | None:
         """Refuse all future staging; return what was staged, once."""
         with self._lock:
             self._sealed = True
@@ -230,9 +231,9 @@ class ScoringServer:
         Listen address; port 0 binds an ephemeral port (read
         :attr:`port` after :meth:`start`).
     jobs:
-        Scoring workers, the router/executor convention: argument over
-        ``REPRO_JOBS`` over serial.  Responses are bitwise-identical
-        for every value.
+        TreeSHAP worker processes of each service, the executor
+        convention: argument over ``REPRO_JOBS`` over serial.
+        Responses are bitwise-identical for every value.
     max_batch:
         Micro-batch row bound.  Also the largest single POST (bigger
         posts get a 413 — they could not be answered by one version
@@ -244,12 +245,12 @@ class ScoringServer:
         Seconds between registry ``LATEST`` polls (0 disables hot
         swapping even without a pinned tag).
     cache_size / top_k:
-        Forwarded to the router (per-shard LRU rows; report size).
+        Forwarded to the service (LRU rows; report size).
     task_deadline:
-        Per-task stuck-worker deadline in seconds, forwarded to every
-        router this server builds (argument over
+        Per-chunk stuck-worker deadline in seconds, forwarded to every
+        service this server builds (argument over
         ``REPRO_TASK_DEADLINE`` over no deadline).  A worker that
-        holds a batch past the deadline is killed, its rows are
+        holds a chunk past the deadline is killed, its rows are
         recomputed in-process (bitwise identically), and the
         supervisor respawns the slot.
     latency_window:
@@ -305,10 +306,10 @@ class ScoringServer:
         self._stats = ServerStats()
         self._queue: deque[_Post] = deque()
         self._queued_rows = 0
-        self._router: ScoringRouter | None = None
+        self._service: ScoringService | None = None
         self._tag: str | None = None
         self._staged = _StagedSlot()
-        #: Recovery accounting: counters of routers already closed
+        #: Recovery accounting: counters of services already closed
         #: (swapped out or stopped) so /metrics is monotone across
         #: hot swaps.
         self._respawned_base = 0
@@ -333,8 +334,8 @@ class ScoringServer:
     # Lifecycle.
 
     async def start(self) -> None:
-        """Build the router, bind the socket, start the background tasks."""
-        if self._router is not None or self._stopped:
+        """Build the service, bind the socket, start the background tasks."""
+        if self._service is not None or self._stopped:
             raise RuntimeError("server already started")
         self._loop = asyncio.get_running_loop()
         self._wakeup = asyncio.Event()
@@ -348,8 +349,8 @@ class ScoringServer:
             self._builder, self._registry.resolve, self._name,
             self._pinned_tag,
         )
-        self._router = await self._loop.run_in_executor(
-            self._builder, self._build_router, tag
+        self._service = await self._loop.run_in_executor(
+            self._builder, self._build_service, tag
         )
         self._tag = tag
         self._started_at = self._clock()
@@ -390,29 +391,29 @@ class ScoringServer:
         assert self._loop is not None
         # Quiesce the builder *before* sweeping what's staged: an
         # in-flight background build finishes inside _build_and_stage,
-        # which stages its router (or, on a sealed slot, closes it
-        # right there) — after this shutdown no router exists outside
-        # the slot, so the sweep below cannot leak a built router.
+        # which stages its service (or, on a sealed slot, closes it
+        # right there) — after this shutdown no service exists outside
+        # the slot, so the sweep below cannot leak a built service.
         if self._builder is not None:
             self._builder.shutdown(wait=True)
         staged = self._staged.seal()
         if staged is not None:
-            _tag, staged_router = staged
+            _tag, staged_service = staged
             await self._loop.run_in_executor(
-                self._scorer, staged_router.close
+                self._scorer, staged_service.close
             )
-        if self._router is not None:
-            self._respawned_base += self._router.workers_respawned
-            self._deadline_base += self._router.deadline_kills
+        if self._service is not None:
+            self._respawned_base += self._service.workers_respawned
+            self._deadline_base += self._service.deadline_kills
             await self._loop.run_in_executor(
-                self._scorer, self._router.close
+                self._scorer, self._service.close
             )
         if self._scorer is not None:
             self._scorer.shutdown(wait=True)
         self._stopped = True
 
-    def _build_router(self, tag: str) -> ScoringRouter:
-        return ScoringRouter.from_registry(
+    def _build_service(self, tag: str) -> ScoringService:
+        return ScoringService.from_registry(
             self._registry,
             self._name,
             tag,
@@ -432,8 +433,8 @@ class ScoringServer:
 
     @property
     def workers(self) -> int:
-        """Scoring worker count of the live router."""
-        return 1 if self._router is None else self._router.workers
+        """TreeSHAP worker count of the live service."""
+        return 1 if self._service is None else self._service.workers
 
     @property
     def stats(self) -> ServerStats:
@@ -442,14 +443,14 @@ class ScoringServer:
 
     @property
     def workers_respawned(self) -> int:
-        """Lifetime worker respawns across every router this server ran."""
-        live = 0 if self._router is None else self._router.workers_respawned
+        """Lifetime worker respawns across every service this server ran."""
+        live = 0 if self._service is None else self._service.workers_respawned
         return self._respawned_base + live
 
     @property
     def deadline_kills(self) -> int:
-        """Lifetime stuck-worker deadline kills across every router."""
-        live = 0 if self._router is None else self._router.deadline_kills
+        """Lifetime stuck-worker deadline kills across every service."""
+        live = 0 if self._service is None else self._service.deadline_kills
         return self._deadline_base + live
 
     @property
@@ -459,13 +460,13 @@ class ScoringServer:
 
     def metrics(self) -> dict:
         """The ``GET /metrics`` document (see ``docs/formats.md``)."""
-        assert self._router is not None
+        assert self._service is not None
         uptime = self._clock() - self._started_at
-        cache = self._router.cache_stats
+        cache = self._service.cache_stats
         return metrics_payload(
             seconds=uptime,
             config={
-                "jobs": self._router.workers,
+                "jobs": self._service.workers,
                 "max_batch": self.max_batch,
                 "max_queue": self._admission.max_queue,
                 "poll_interval": self.poll_interval,
@@ -477,9 +478,8 @@ class ScoringServer:
             max_queue=self._admission.max_queue,
             rejected=self._admission.rejected,
             stats=self._stats,
-            shard_rows=self._router.stats.shard_rows,
-            workers=self._router.workers,
-            workers_alive=self._router.workers_alive,
+            workers=self._service.workers,
+            workers_alive=self._service.workers_alive,
             cache_hits=cache.hits,
             cache_misses=cache.misses,
             cache_hit_rate=cache.hit_rate,
@@ -501,7 +501,7 @@ class ScoringServer:
         """
         workers = self.workers
         alive = (
-            workers if self._router is None else self._router.workers_alive
+            workers if self._service is None else self._service.workers_alive
         )
         if self._stopping:
             status = "stopping"
@@ -529,7 +529,7 @@ class ScoringServer:
             # below never sleeps through it.
             self._wakeup.clear()
             if not self._stopping:
-                # Once the drain began, a staged router is the stop
+                # Once the drain began, a staged service is the stop
                 # sweep's to close, never this server's to serve.
                 await self._apply_staged_swap()
             if not self._queue:
@@ -551,7 +551,7 @@ class ScoringServer:
 
     async def _execute(self, batch: list[_Post]) -> None:
         """Score a run of whole posts as one micro-batch, resolve futures."""
-        assert self._router is not None and self._loop is not None
+        assert self._service is not None and self._loop is not None
         requests = [
             ScoreRequest(row=post.rows[i], explain=post.explain)
             for post in batch
@@ -560,7 +560,7 @@ class ScoringServer:
         version = self.model_ref
         try:
             results = await self._loop.run_in_executor(
-                self._scorer, self._router.score_batch, requests
+                self._scorer, self._service.score_batch, requests
             )
         except Exception as exc:
             self._stats.errors += len(batch)
@@ -619,34 +619,34 @@ class ScoringServer:
         return self._registry.resolve(self._name, None)
 
     def _build_and_stage(self, tag: str) -> None:
-        """Build a replacement router and stage it (builder thread).
+        """Build a replacement service and stage it (builder thread).
 
-        Building and staging happen on the same thread: the new router
+        Building and staging happen on the same thread: the new service
         is never in flight between threads, so a shutdown racing the
         watcher cannot drop it — either it lands in ``_staged`` (and
         the stop sweep closes it) or, when the drain already began, it
         is closed right here before its first batch.
         """
-        router = self._build_router(tag)
-        stale = self._staged.stage(tag, router)
+        service = self._build_service(tag)
+        stale = self._staged.stage(tag, service)
         if stale is not None:
             stale.close()
 
     async def _apply_staged_swap(self) -> None:
-        """Switch to a staged router between batches (flusher only)."""
+        """Switch to a staged service between batches (flusher only)."""
         staged = self._staged.pop()
         if staged is None:
             return
         assert self._loop is not None
-        tag, router = staged
-        old = self._router
-        self._router, self._tag = router, tag
+        tag, service = staged
+        old = self._service
+        self._service, self._tag = service, tag
         self._stats.swaps += 1
         if old is not None:
             self._respawned_base += old.workers_respawned
             self._deadline_base += old.deadline_kills
-            # Close on the scorer thread, after the old router's last
-            # batch — scatter and close never overlap.
+            # Close on the scorer thread, after the old service's last
+            # batch — scoring and close never overlap.
             await self._loop.run_in_executor(self._scorer, old.close)
 
     # ------------------------------------------------------------------
@@ -751,10 +751,10 @@ class ScoringServer:
     async def _score_post(self, path: str, body: bytes):
         if self._stopping:
             return 503, {"error": "server is shutting down"}, {}
-        assert self._router is not None and self._loop is not None
+        assert self._service is not None and self._loop is not None
         try:
             document = json.loads(body.decode("utf-8"))
-            rows = _parse_rows(document, self._router.n_features)
+            rows = _parse_rows(document, self._service.n_features)
         except (ValueError, UnicodeDecodeError) as exc:
             return 400, {"error": str(exc)}, {}
         n = rows.shape[0]
@@ -774,7 +774,7 @@ class ScoringServer:
             )
         if not self._admission.try_admit(n):
             retry = self._admission.retry_after(
-                self._router.stats.rows_per_second
+                self._service.stats.rows_per_second
             )
             return (
                 429,

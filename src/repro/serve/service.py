@@ -22,6 +22,15 @@ the hot path fast without changing a single output bit:
    a hit only picks the report's raw values out of the requesting row:
    no SHAP row is re-ranked.  Duplicate rows *within* one batch are
    computed once, too.
+
+With ``n_jobs > 1`` the service keeps a pool of worker processes
+(:class:`~repro.parallel.executor.ShardedPool`) whose state is the
+explainer, pickled once.  Binning, the cache, the predict sweep and the
+ranking stay in the calling process; only the TreeSHAP call for a
+batch's cache-miss rows is split, one contiguous chunk per worker, and
+the chunks are stacked back in order.  The engine is row-deterministic,
+so every answer, ``cached`` flag and cache counter is the same at every
+worker count.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from repro.explain.reports import (
     top_k_features,
 )
 from repro.explain.treeshap import TreeShapExplainer
+from repro.parallel.executor import ShardedPool, resolve_deadline, resolve_jobs
 from repro.serve.cache import CacheStats, LRUCache
 from repro.serve.registry import ModelRegistry, model_fingerprint
 
@@ -49,7 +59,6 @@ __all__ = [
     "ScoringService",
     "ServiceStats",
     "stack_request_rows",
-    "registry_model",
 ]
 
 
@@ -58,10 +67,9 @@ def stack_request_rows(
 ) -> np.ndarray:
     """Validate and stack request rows into one ``(n, d)`` matrix.
 
-    Shared by the single-process service and the multi-worker router so
-    both fronts reject malformed rows identically.  Well-formed batches
-    are stacked by one ``np.array`` call; anything else goes through the
-    per-row loop, which names the first bad request.
+    Well-formed batches are stacked by one ``np.array`` call; anything
+    else goes through the per-row loop, which names the first bad
+    request.
     """
     try:
         rows = np.array([req.row for req in requests], dtype=np.float64)
@@ -79,27 +87,6 @@ def stack_request_rows(
             )
         rows[i] = row
     return rows
-
-
-def registry_model(
-    registry: ModelRegistry, name: str, tag: str | None, kwargs: dict
-):
-    """Load ``name@tag`` and default the scoring-front kwargs.
-
-    Resolves the tag, loads the model, and fills in ``version`` (the
-    stable registry reference, no re-fingerprinting) and
-    ``feature_names`` (from the published metadata) unless the caller
-    set them — the one loading convention behind both
-    ``ScoringService.from_registry`` and ``ScoringRouter.from_registry``.
-    """
-    tag = registry.resolve(name, tag)
-    model = registry.load(name, tag)
-    kwargs.setdefault("version", f"{name}@{tag}")
-    if "feature_names" not in kwargs:
-        features = registry.describe(name, tag).metadata.get("features")
-        if features is not None:
-            kwargs["feature_names"] = list(features)
-    return model
 
 
 @dataclass(frozen=True)
@@ -187,6 +174,11 @@ class ServiceStats:
         return self.requests / self.total_seconds
 
 
+def _shap_chunk(codes: np.ndarray, explainer: TreeShapExplainer) -> np.ndarray:
+    """One worker's chunk of a batch's TreeSHAP call."""
+    return explainer.shap_values_binned(codes)
+
+
 class _Entry:
     """One cached row: its raw score, and its ranked top-k once explained.
 
@@ -219,10 +211,21 @@ class ScoringService:
     feature_names:
         Column names used in attribution reports; defaults to
         ``f0..f{d-1}``.
+    n_jobs:
+        TreeSHAP worker processes (see
+        :func:`~repro.parallel.executor.resolve_jobs`; ``None`` reads
+        ``REPRO_JOBS``).  The default 1 starts no process; more workers
+        only split the cache-miss rows of each explained batch.
+        Results are bitwise-identical for every value.  A service with
+        workers must be closed (:meth:`close` or ``with``).
     cache_size:
         LRU capacity in rows (0 disables caching).
     top_k:
         Features per attribution report (the paper reports 5).
+    task_deadline:
+        Per-chunk deadline in seconds for the workers (argument over
+        ``REPRO_TASK_DEADLINE`` over none).  A worker stuck past it is
+        killed and its chunk recomputed in-process, with the same bits.
     """
 
     def __init__(
@@ -231,9 +234,15 @@ class ScoringService:
         *,
         version: str | None = None,
         feature_names: Sequence[str] | None = None,
+        n_jobs: int | None = 1,
         cache_size: int = 4096,
         top_k: int = 5,
+        task_deadline: float | None = None,
     ):
+        # A bad count or deadline fails before the explainer is built.
+        workers = resolve_jobs(n_jobs)
+        if workers > 1:
+            task_deadline = resolve_deadline(task_deadline)
         if getattr(model, "ensemble_", None) is None:
             raise ValueError("model is not fitted")
         if getattr(model, "mapper_", None) is None:
@@ -273,6 +282,12 @@ class ScoringService:
         self.top_k = top_k
         self._cache = LRUCache(cache_size)
         self._stats = ServiceStats()
+        self._closed = False
+        self._pool = None
+        if workers > 1:
+            self._pool = ShardedPool(
+                n_jobs=workers, state=self.explainer, task_deadline=task_deadline
+            )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -286,38 +301,30 @@ class ScoringService:
         """Load ``name@tag`` (default latest) and wrap it in a service.
 
         The cache version is the registry reference, so it is stable
-        across processes without re-fingerprinting the document.
+        across processes without re-fingerprinting the document;
+        ``feature_names`` default to the published metadata.
         """
-        return cls(registry_model(registry, name, tag, kwargs), **kwargs)
+        tag = registry.resolve(name, tag)
+        model = registry.load(name, tag)
+        kwargs.setdefault("version", f"{name}@{tag}")
+        if "feature_names" not in kwargs:
+            features = registry.describe(name, tag).metadata.get("features")
+            if features is not None:
+                kwargs["feature_names"] = list(features)
+        return cls(model, **kwargs)
 
     # ------------------------------------------------------------------
-    def score_batch(
-        self,
-        requests: Sequence[ScoreRequest],
-        codes: np.ndarray | None = None,
-    ) -> list[ScoreResult]:
-        """Score a heterogeneous micro-batch with single engine calls.
-
-        ``codes`` optionally passes the rows' bin codes computed
-        upstream (they must come from this model's own mapper — the
-        router already quantizes every batch for shard hashing, so its
-        workers skip re-binning).  Codes from the same mapper are
-        bitwise identical wherever they are computed, so the option
-        never changes a result.
-        """
+    def score_batch(self, requests: Sequence[ScoreRequest]) -> list[ScoreResult]:
+        """Score a heterogeneous micro-batch with single engine calls."""
+        if self._closed:
+            raise RuntimeError("service is closed")
         if not requests:
             return []
         t0 = time.perf_counter()
+        if self._pool is not None:
+            self._pool.heal()  # a dead worker respawns at the next batch
         rows = stack_request_rows(requests, self.n_features)
-        if codes is None:
-            codes = self.model.bin(rows)
-        else:
-            codes = np.asarray(codes)
-            if codes.shape != rows.shape:
-                raise ValueError(
-                    f"expected codes of shape {rows.shape}, "
-                    f"got {codes.shape}"
-                )
+        codes = self.model.bin(rows)
         # Every row's cache key is its slice of one C-order byte string.
         blob = codes.tobytes()
         width = len(blob) // len(requests)
@@ -435,9 +442,7 @@ class ScoringService:
         reports = {}
         if explain:
             idx = np.fromiter(explain.values(), dtype=np.int64, count=len(explain))
-            # F order matches the engine's per-tree column gathers (the
-            # batch codes are C order for the per-row cache keys).
-            phi = self.explainer.shap_values_binned(np.asfortranarray(codes[idx]))
+            phi = self._shap(codes, idx)
             ranked, orders = top_k_features(
                 phi,
                 rows[idx],
@@ -461,6 +466,23 @@ class ScoringService:
             self._cache.put(key, entries[key])
         return reports
 
+    def _shap(self, codes: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """SHAP values of the rows ``codes[idx]``, one chunk per worker.
+
+        Each chunk is F order, which matches the engine's per-tree
+        column gathers (the batch codes are C order for the per-row
+        cache keys).  A chunk whose worker dies or overruns its
+        deadline is recomputed on this process's explainer.
+        """
+        if self._pool is None:
+            return self.explainer.shap_values_binned(np.asfortranarray(codes[idx]))
+        tasks = [
+            (shard, np.asfortranarray(codes[chunk]))
+            for shard, chunk in enumerate(np.array_split(idx, self._pool.workers))
+            if chunk.size
+        ]
+        return np.concatenate(self._pool.scatter(_shap_chunk, tasks))
+
     # ------------------------------------------------------------------
     @property
     def stats(self) -> ServiceStats:
@@ -471,3 +493,42 @@ class ScoringService:
     def cache_stats(self) -> CacheStats:
         """Counters of the underlying result cache."""
         return self._cache.stats
+
+    @property
+    def workers(self) -> int:
+        """TreeSHAP worker count (1 = everything in-process)."""
+        return 1 if self._pool is None else self._pool.workers
+
+    @property
+    def workers_alive(self) -> int:
+        """Workers still taking chunks (degraded-capacity signal)."""
+        if self._pool is None:
+            return 0 if self._closed else 1
+        return self._pool.workers_alive
+
+    @property
+    def workers_respawned(self) -> int:
+        """Crashed workers the pool supervisor has respawned."""
+        return 0 if self._pool is None else self._pool.workers_respawned
+
+    @property
+    def deadline_kills(self) -> int:
+        """Stuck workers killed past the per-chunk deadline."""
+        return 0 if self._pool is None else self._pool.deadline_kills
+
+    def close(self) -> None:
+        """Stop the workers (idempotent); a closed service takes no work.
+
+        :meth:`score_batch` is synchronous, so no batch is in flight
+        here; the HTTP server drains its own queue before closing.
+        """
+        if not self._closed:
+            self._closed = True
+            if self._pool is not None:
+                self._pool.close()
+
+    def __enter__(self) -> "ScoringService":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

@@ -10,7 +10,7 @@ The ops plane measures three things about the HTTP front end
   did (posts answered, rows scored, micro-batches formed, rejections,
   errors, hot swaps).
 * **The wire document** — :func:`metrics_payload` assembles both, plus
-  the router/cache/admission views, into one JSON document (``name`` /
+  the worker/cache/admission views, into one JSON document (``name`` /
   ``seconds`` / ``speedup`` / ``config`` / ``latency_ms`` + serving
   extras).
 
@@ -103,7 +103,6 @@ def metrics_payload(
     max_queue: int,
     rejected: int,
     stats: ServerStats,
-    shard_rows: dict[int, int],
     workers: int,
     workers_alive: int,
     cache_hits: int,
@@ -121,8 +120,8 @@ def metrics_payload(
     ``config`` and ``latency_ms`` with p50/p95/p99 milliseconds, then
     the serving sections: ``throughput_rps``,
     ``queue`` (admission depth/bound/rejections), ``requests`` (post,
-    row, batch and error counters), ``shards`` (per-cache-shard row
-    occupancy and live worker count), ``cache`` (hit statistics),
+    row, batch and error counters), ``shards`` (TreeSHAP worker count
+    and how many are alive), ``cache`` (hit statistics),
     ``model`` (served version + applied hot swaps) and ``recovery``
     (self-healing counters: workers respawned, stuck-worker deadline
     kills, torn publishes quarantined).  ``docs/formats.md`` is the
@@ -154,10 +153,6 @@ def metrics_payload(
         "shards": {
             "workers": int(workers),
             "workers_alive": int(workers_alive),
-            "rows": {
-                str(shard): int(count)
-                for shard, count in sorted(shard_rows.items())
-            },
         },
         "cache": {
             "hits": int(cache_hits),

@@ -12,13 +12,15 @@ and replaced the same way.
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.faults import fault_plan, kill_schedule
-from repro.parallel import ShardedPool
+from repro.parallel import ShardedPool, executor
 from repro.parallel.executor import resolve_deadline
 
 
@@ -220,6 +222,48 @@ class TestCrashLoops:
                 assert pool.workers_respawned == 0
             finally:
                 pool.close()
+
+
+class TestBootTimeout:
+    def test_worker_that_never_reads_its_state_is_killed(self, monkeypatch):
+        """A spawned worker stalled before its first read cannot hold a
+        1 MB state send, in the constructor or in a respawn, past the
+        boot timeout: its slot goes dead and its tasks run in-process."""
+        monkeypatch.setenv("REPRO_FAULTS", "stall@worker.boot:w=0:s=60")
+        monkeypatch.setattr(executor, "_start_method", lambda: "spawn")
+        monkeypatch.setattr(ShardedPool, "_BOOT_TIMEOUT", 3.0)
+        X = np.arange(131072.0).reshape(2048, 64)  # 1 MiB: beyond any pipe buffer
+        before = set(mp.active_children())
+        built: list[ShardedPool] = []
+        builder = threading.Thread(
+            target=lambda: built.append(
+                ShardedPool(n_jobs=2, state={"X": X}, max_respawns=1)
+            ),
+            daemon=True,
+        )
+        builder.start()
+        builder.join(timeout=60)
+        if builder.is_alive():  # the send hung: free it, then fail
+            for proc in set(mp.active_children()) - before:
+                proc.kill()
+            builder.join(timeout=10)
+            pytest.fail("ShardedPool() blocked on a worker that never read")
+        (pool,) = built
+        tasks = _tasks()
+        try:
+            if pool.workers != 2:
+                pytest.skip("process backend unavailable")
+            assert 0 in pool._dead
+            # The respawned slot stalls again and is killed again, within
+            # the one-respawn budget; every answer is computed anyway.
+            t0 = time.perf_counter()
+            assert pool.scatter(_shard_sum, tasks) == _reference(X, tasks)
+            assert time.perf_counter() - t0 < 30.0
+            assert pool.workers_respawned == 1
+            assert 0 in pool._dead
+            assert pool.scatter(_shard_sum, tasks) == _reference(X, tasks)
+        finally:
+            pool.close()
 
 
 class TestCloseUnderFaults:

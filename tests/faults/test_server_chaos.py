@@ -2,14 +2,15 @@
 
 Three server-level recovery contracts:
 
-* **Worker loss is invisible in the values.**  A kill schedule against
-  the scoring pool changes no response byte; ``/healthz`` reports the
-  degraded window and ``/metrics`` counts the respawn.
+* **Worker loss is invisible in the answers.**  A kill schedule against
+  the TreeSHAP pool changes no response byte, ``cached`` flags
+  included; ``/healthz`` reports the degraded window and ``/metrics``
+  counts the respawn.
 * **A torn publish never reaches traffic.**  The watcher quarantines
   the half-published version (``half_published`` counter), keeps
   serving the complete one, and swaps only when a complete version
   lands; no response ever mixes versions.
-* **Shutdown leaks nothing.**  A hot-swap router still in flight on the
+* **Shutdown leaks nothing.**  A hot-swap service still in flight on the
   builder when ``stop()`` begins is closed — never dropped with its
   worker processes alive (the staged-leak regression).
 """
@@ -75,12 +76,7 @@ def _request(port, method, path, payload=None):
 
 
 def _values(document) -> list[tuple]:
-    """Response values with the cache-bookkeeping flag stripped.
-
-    Worker loss may recompute a shard in-process, which legitimately
-    shifts hit/miss accounting (the eviction-pressure precedent in
-    ``docs/determinism.md``) — values must still match bitwise.
-    """
+    """Response values without the ``cached`` flag (cold vs hot posts)."""
     return [
         (r["raw_score"], r["prediction"], r["probability"])
         for r in document["results"]
@@ -95,10 +91,15 @@ class TestWorkerLossUnderLoad:
         rows = _wire_rows(X[:16])
         registry = _registry(tmp_path, models[0])
 
-        # Reference run: same registry, fresh server, no faults.
+        # Reference run: same registry, fresh server, no faults; the
+        # second post answers from the cache.
         with ServerThread(ScoringServer(registry, "m", jobs=2)) as handle:
             status, reference = _request(
-                handle.port, "POST", "/predict", {"rows": rows}
+                handle.port, "POST", "/explain", {"rows": rows}
+            )
+            assert status == 200
+            status, reference_hot = _request(
+                handle.port, "POST", "/explain", {"rows": rows}
             )
             assert status == 200
 
@@ -108,11 +109,10 @@ class TestWorkerLossUnderLoad:
                 pytest.skip("process backend unavailable")
             with fault_plan("kill@shard.send:w=0:n=0"):
                 status, degraded = _request(
-                    handle.port, "POST", "/predict", {"rows": rows}
+                    handle.port, "POST", "/explain", {"rows": rows}
                 )
             assert status == 200
-            assert _values(degraded) == _values(reference)
-            assert degraded["version"] == reference["version"]
+            assert degraded == reference
 
             # The degraded window: the slot is down until the next
             # batch lets the supervisor respawn it.
@@ -124,10 +124,10 @@ class TestWorkerLossUnderLoad:
             deadline = time.perf_counter() + 8.0
             while time.perf_counter() < deadline:
                 status, again = _request(
-                    handle.port, "POST", "/predict", {"rows": rows}
+                    handle.port, "POST", "/explain", {"rows": rows}
                 )
                 assert status == 200
-                assert _values(again) == _values(reference)
+                assert again == reference_hot
                 _status, health = _request(handle.port, "GET", "/healthz")
                 if health["status"] == "ok":
                     break
@@ -209,38 +209,38 @@ class TestTornPublishAtTheEdge:
 
 
 class _GatedBuildServer(ScoringServer):
-    """Build of replacement routers blocks until the test opens the gate."""
+    """Build of replacement services blocks until the test opens the gate."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.gate = threading.Event()
         self.build_started = threading.Event()
-        self.built_routers = []
+        self.built_services = []
         self.built_procs = []
 
-    def _build_router(self, tag):
-        replacement = self._router is not None
+    def _build_service(self, tag):
+        replacement = self._service is not None
         if replacement:
             self.build_started.set()
             assert self.gate.wait(timeout=60), "gate never opened"
-        router = super()._build_router(tag)
+        service = super()._build_service(tag)
         if replacement:
-            self.built_routers.append(router)
-            self.built_procs.extend(router._pool._procs)
-        return router
+            self.built_services.append(service)
+            self.built_procs.extend(service._pool._procs)
+        return service
 
 
-class TestStagedRouterLeak:
-    def test_stop_closes_router_still_in_flight_on_builder(
+class TestStagedServiceLeak:
+    def test_stop_closes_service_still_in_flight_on_builder(
         self, tmp_path, models
     ):
         """The satellite regression: stop() during a background build.
 
-        Before the fix, a router built by the watcher but never applied
+        Before the fix, a service built by the watcher but never applied
         could be dropped on shutdown with its worker pool alive.  Now
         the build lands in the staged slot (or is closed builder-side
         once the slot is sealed) and the stop sweep closes it — every
-        built router ends closed, every worker process gone.
+        built service ends closed, every worker process gone.
         """
         registry = _registry(tmp_path, models[0])
         server = _GatedBuildServer(
@@ -261,8 +261,8 @@ class TestStagedRouterLeak:
         finally:
             server.gate.set()
             handle.stop()
-        assert server.built_routers, "expected a replacement build"
-        assert all(router._closed for router in server.built_routers)
+        assert server.built_services, "expected a replacement build"
+        assert all(service._closed for service in server.built_services)
         # Staged after the drain began: swept closed, never applied.
         assert server.stats.swaps == 0
         assert server.built_procs, "expected the build to start workers"

@@ -100,7 +100,7 @@ class TestResolveJobs:
     def test_per_cpu_count_capped_at_ceiling(self, monkeypatch, count):
         monkeypatch.setattr(executor.os, "cpu_count", lambda: 2 * MAX_JOBS)
         assert resolve_jobs(count) == MAX_JOBS
-        # Each layer (server, router, pool) resolves the count again.
+        # Each layer (server, service, pool) resolves the count again.
         assert resolve_jobs(resolve_jobs(count)) == MAX_JOBS
 
     def test_parallel_map_per_cpu_on_a_big_host(self, monkeypatch):

@@ -175,7 +175,7 @@ class TestWorkerDeathCleanup:
 class TestNoSharedMemory:
     def test_no_shm_segment_across_pool_life_cycles(self):
         from repro.boosting import GBRegressor
-        from repro.serve import ScoringRouter
+        from repro.serve import ScoringService
 
         before = _shm_segments()
         X = np.arange(4096.0).reshape(64, 64)
@@ -185,8 +185,8 @@ class TestNoSharedMemory:
         rng = np.random.default_rng(3)
         Xf = rng.normal(size=(200, 5))
         model = GBRegressor(n_estimators=5, max_depth=2).fit(Xf, Xf[:, 0])
-        with ScoringRouter(model, n_jobs=2) as router:
-            router.score_rows(Xf[:8], explain=True)
+        with ScoringService(model, n_jobs=2) as service:
+            service.score_rows(Xf[:8], explain=True)
             assert _shm_segments() - before == set()
         assert _shm_segments() - before == set()
 

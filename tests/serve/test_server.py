@@ -1,9 +1,9 @@
 """Tests for the asyncio HTTP front end (repro.serve.server).
 
-The load-bearing contract is the HTTP edition of the router's: every
-response is **bitwise identical** to the in-process ``ScoringService``
-on the same request stream — cache-cold and cache-hot, at every worker
-count — because JSON round-trips every finite float64 exactly.  On top
+The load-bearing contract: every response, ``cached`` flag included, is
+**bitwise identical** to the in-process ``ScoringService`` on the same
+request stream — cache-cold and cache-hot, at every worker count —
+because JSON round-trips every finite float64 exactly.  On top
 of that: hot model swaps drop zero requests and never mix versions
 within a response, saturation answers 429 with a ``Retry-After``, and a
 SIGTERM-style ``stop()`` answers everything already admitted.
@@ -21,19 +21,17 @@ import numpy as np
 import pytest
 
 from repro.boosting import GBClassifier, GBRegressor
-from repro.faults import faults_active
 from repro.parallel import executor
 from repro.parallel.executor import MAX_JOBS, resolve_jobs
 from repro.serve import (
     ModelRegistry,
     ScoreRequest,
-    ScoringRouter,
     ScoringServer,
     ScoringService,
     ServerThread,
     result_to_wire,
 )
-from repro.serve import router as router_module
+from repro.serve import service as service_module
 
 FEATURES = [f"f{i}" for i in range(6)]
 
@@ -121,37 +119,34 @@ def _queued_rows(port):
 
 @pytest.fixture()
 def held_scorer(monkeypatch):
-    """Hold every router ``score_batch`` call until ``release`` is set.
+    """Hold every server-side ``score_batch`` call until ``release`` is set.
 
-    Each call records its batch size in rows before it waits, so a test
-    sees what the flusher popped while it stages posts behind the hold.
+    Only calls on the server's scorer thread are held; each records its
+    batch size in rows before it waits, so a test sees what the flusher
+    popped while it stages posts behind the hold.  The test's own
+    reference services score straight through.
     """
     release = threading.Event()
     batches: list[int] = []
-    score_batch = ScoringRouter.score_batch
+    score_batch = ScoringService.score_batch
 
-    def held(router, requests):
-        batches.append(len(requests))
-        release.wait(timeout=30)
-        return score_batch(router, requests)
+    def held(service, requests):
+        if threading.current_thread().name.startswith("repro-serve-scorer"):
+            batches.append(len(requests))
+            release.wait(timeout=30)
+        return score_batch(service, requests)
 
-    monkeypatch.setattr(ScoringRouter, "score_batch", held)
+    monkeypatch.setattr(ScoringService, "score_batch", held)
     yield release, batches
     release.set()
 
 
 def _assert_wire_equal(got, expected):
-    """Bitwise wire equality — modulo cache bookkeeping under chaos.
+    """Bitwise wire equality, ``cached`` included, under any fault plan.
 
-    Under an active fault plan (the CI chaos matrix), a respawned shard
-    starts cache-cold, so the ``cached`` flag may legitimately diverge;
-    every value must still match exactly.
+    The one result cache lives in the server's process, so a killed
+    worker changes no value and no cache flag.
     """
-    if faults_active():
-        got = [{k: v for k, v in r.items() if k != "cached"} for r in got]
-        expected = [
-            {k: v for k, v in r.items() if k != "cached"} for r in expected
-        ]
     assert got == expected
 
 
@@ -194,7 +189,7 @@ class TestEquivalence:
                 got.extend(doc["results"])
             conn.close()
         # Wire documents compare exactly: JSON float round-tripping is
-        # bitwise, and even the cached flags coincide (modulo chaos).
+        # bitwise, and even the cached flags coincide.
         _assert_wire_equal(got, expected)
 
     def test_classifier_probability_on_the_wire(self, registry, cohort):
@@ -303,7 +298,7 @@ class TestHotSwap:
                 "m", GBRegressor(n_estimators=12, max_depth=3).fit(X, y)
             ).ref
             # No post is in flight: the watcher's wake-up alone must make
-            # the flusher apply the staged router.
+            # the flusher apply the staged service.
             assert _wait_until(lambda: server.stats.swaps == 1, timeout=30)
             conn = http.client.HTTPConnection("127.0.0.1", handle.port)
             status, _headers, doc = _request(conn, "GET", "/healthz")
@@ -503,7 +498,7 @@ class TestBackpressureAndShutdown:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(router_module, "ShardedPool", no_pool)
+        monkeypatch.setattr(service_module, "ShardedPool", no_pool)
         if source == "env":
             monkeypatch.setenv("REPRO_JOBS", str(MAX_JOBS + 1))
             with pytest.raises(ValueError, match="REPRO_JOBS must be <="):
@@ -526,12 +521,12 @@ class TestBackpressureAndShutdown:
                 pass
 
         monkeypatch.setattr(executor.os, "cpu_count", lambda: 2 * MAX_JOBS)
-        monkeypatch.setattr(router_module, "ShardedPool", RecordingPool)
+        monkeypatch.setattr(service_module, "ShardedPool", RecordingPool)
         server = ScoringServer(registry, "reg", jobs=0, poll_interval=0)
-        # The router a start or a hot swap builds resolves the count again.
-        router = server._build_router(None)
-        router.close()
-        assert router.workers == MAX_JOBS
+        # The service a start or a hot swap builds resolves the count again.
+        service = server._build_service(None)
+        service.close()
+        assert service.workers == MAX_JOBS
 
     def test_post_after_stop_is_refused(self, registry, cohort):
         X, _y = cohort
@@ -751,7 +746,7 @@ class TestMetrics:
         }
         assert metrics["shards"]["workers"] == 2
         assert 1 <= metrics["shards"]["workers_alive"] <= 2
-        assert sum(metrics["shards"]["rows"].values()) == 24
+        assert set(metrics["shards"]) == {"workers", "workers_alive"}
         # Pass two re-scored the pass-one working set: hits observed.
         assert metrics["cache"]["hits"] > 0
         assert 0 < metrics["cache"]["hit_rate"] < 1

@@ -1,11 +1,20 @@
-"""Unit tests for repro.serve.service (micro-batched scoring)."""
+"""Unit tests for repro.serve.service (micro-batched scoring).
 
+Besides the cache and report contracts, the worker suite holds the
+service to one rule at every ``n_jobs``: on the same request stream,
+every answer, ``cached`` flag and cache counter is bitwise-identical to
+the single-process service, cache-cold and cache-hot, under eviction
+and under kill schedules.
+"""
+
+import copy
 import dataclasses
 import os
 import pickle
 import subprocess
 import sys
 import textwrap
+import threading
 from collections import OrderedDict
 from pathlib import Path
 
@@ -19,7 +28,11 @@ from repro.boosting.serialize import model_from_dict, model_to_dict
 from repro.explain import LocalExplanation, TreeShapExplainer
 from repro.explain.reference import reference_top_k_features
 from repro.explain.reports import _local_explanation
+from repro.faults import fault_plan, faults_active
+from repro.parallel import executor
+from repro.parallel.executor import MAX_JOBS, resolve_jobs
 from repro.serve import ModelRegistry, ScoreRequest, ScoringService
+from repro.serve import service as service_module
 from repro.serve.service import ScoreResult, _score_result, stack_request_rows
 
 
@@ -422,50 +435,311 @@ class TestCompactPath:
 
 
 class TestPickleHandoff:
-    """Router workers score on a pickled copy of the parent's service;
-    the copy must answer bitwise like the original, cold then hot."""
+    """Pool workers explain on a pickled copy of the parent's explainer;
+    the copy must answer bitwise like the original."""
 
     @pytest.mark.parametrize("fixture", ["regressor", "classifier"])
     def test_pickled_copy_answers_bitwise(self, fixture, request):
         model, X = request.getfixturevalue(fixture)
-        original = ScoringService(model, version="t")
-        copy = pickle.loads(pickle.dumps(original))
-        # The copy carries the parent's DAG instead of re-consing one,
-        # and starts with an empty cache of its own.
-        assert copy._engine is copy.model.compact_
-        assert copy._cache is not original._cache
-        stream = [
-            ScoreRequest(row=row, explain=i % 2 == 0)
-            for i, row in enumerate(X[:60])
+        original = TreeShapExplainer(model)
+        clone = pickle.loads(pickle.dumps(original))
+        assert clone.expected_value == original.expected_value
+        codes = model.bin(X[:60])
+        want = original.shap_values_binned(np.asfortranarray(codes))
+        # Contiguous F-order chunks, as the service sends them, stack
+        # back to the whole batch's bits.
+        chunks = [
+            clone.shap_values_binned(np.asfortranarray(codes[idx]))
+            for idx in np.array_split(np.arange(60), 3)
         ]
-        for _ in range(2):  # cold, then hot
-            want = original.score_batch(stream)
-            got = copy.score_batch(stream)
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert a.raw_score == b.raw_score
-                assert a.prediction == b.prediction
-                assert a.probability == b.probability
-                assert a.cached == b.cached
-                if b.explanation is None:
-                    assert a.explanation is None
-                else:
-                    assert explanations_equal(a.explanation, b.explanation)
-        assert copy.cache_stats == original.cache_stats
+        assert np.concatenate(chunks).tobytes() == want.tobytes()
 
     def test_pickled_explainer_bitwise(self, regressor):
         model, X = regressor
-        copy = pickle.loads(pickle.dumps(ScoringService(model, version="t")))
         baseline = TreeShapExplainer(model)
-        assert copy.explainer.expected_value == baseline.expected_value
+        clone = pickle.loads(pickle.dumps(baseline))
+        assert clone.expected_value == baseline.expected_value
         assert np.array_equal(
-            copy.explainer.shap_values(X[:50]), baseline.shap_values(X[:50])
+            clone.shap_values(X[:50]), baseline.shap_values(X[:50])
         )
         codes = model.bin(X[:50])
         assert np.array_equal(
-            copy.explainer.shap_values_binned(codes),
+            clone.shap_values_binned(codes),
             baseline.shap_values_binned(codes),
         )
+
+
+def _stream(X, revisits=3, explain_every=2):
+    """A repeated-cohort stream with mixed predict/explain flags."""
+    distinct = X[:80]
+    return [
+        ScoreRequest(row=row, explain=(i % explain_every == 0))
+        for _ in range(revisits)
+        for i, row in enumerate(distinct)
+    ]
+
+
+def _run_batched(target, stream, batch=32):
+    out = []
+    for lo in range(0, len(stream), batch):
+        out.extend(target.score_batch(stream[lo : lo + batch]))
+    return out
+
+
+def _assert_same_answers(got, want):
+    """Every field bit for bit, ``cached`` included."""
+    assert [result_bits(r) for r in got] == [result_bits(r) for r in want]
+
+
+class TestWorkers:
+    """``n_jobs > 1`` splits only the cache-miss TreeSHAP rows over
+    worker processes: every answer, ``cached`` flag and cache counter
+    equals the single-process service's, at every worker count."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bitwise_equal_to_service_cold_and_hot(self, regressor, jobs):
+        model, X = regressor
+        stream = _stream(X)
+        service = ScoringService(model, version="v")
+        with ScoringService(model, version="v", n_jobs=jobs) as pooled:
+            for _ in range(2):  # cold, then hot
+                _assert_same_answers(
+                    _run_batched(pooled, stream), _run_batched(service, stream)
+                )
+                assert pooled.cache_stats == service.cache_stats
+            assert all(r.cached for r in _run_batched(pooled, stream))
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_raw_scores_bitwise_equal_to_ensemble_per_worker_count(
+        self, regressor, jobs
+    ):
+        model, X = regressor
+        reference = model.ensemble_.predict_raw_binned(
+            model.bin(X[:60]), model.mapper_.missing_bin
+        )
+        with ScoringService(model, version="v", n_jobs=jobs) as service:
+            cold = service.score_rows(X[:60], explain=True)
+            assert np.array_equal([r.raw_score for r in cold], reference)
+            hot = service.score_rows(X[:60], explain=True)
+            assert np.array_equal([r.raw_score for r in hot], reference)
+            assert all(r.cached for r in hot)
+
+    def test_spawned_workers_bitwise_equal_to_service(self, regressor):
+        # A live second thread makes the pool start its workers with
+        # spawn, as in the HTTP server: each worker boots a fresh
+        # interpreter and unpickles the explainer from the shared bytes.
+        model, X = regressor
+        stream = _stream(X, revisits=2)
+        service = ScoringService(model, version="v")
+        release = threading.Event()
+        holder = threading.Thread(target=release.wait, daemon=True)
+        holder.start()
+        try:
+            assert executor._start_method() == "spawn"
+            pooled = ScoringService(model, version="v", n_jobs=2)
+        finally:
+            release.set()
+            holder.join(timeout=10)
+        assert not holder.is_alive()
+        with pooled:
+            assert pooled.workers == 2
+            for _ in range(2):  # cold, then hot
+                _assert_same_answers(
+                    _run_batched(pooled, stream), _run_batched(service, stream)
+                )
+            assert pooled.cache_stats == service.cache_stats
+            if not faults_active():  # a pinned kill leaves a slot dead
+                assert pooled.workers_alive == 2
+
+    def test_classifier_probabilities_bitwise(self, classifier):
+        model, X = classifier
+        stream = _stream(X, revisits=2)
+        service = ScoringService(model, version="c")
+        reference = _run_batched(service, stream)
+        with ScoringService(model, version="c", n_jobs=2) as pooled:
+            _assert_same_answers(_run_batched(pooled, stream), reference)
+            assert pooled.cache_stats == service.cache_stats
+
+    def test_values_identical_under_eviction_pressure(self, regressor):
+        """More distinct rows than capacity: one LRU, the same hits."""
+        model, X = regressor
+        stream = [
+            ScoreRequest(row=X[i % 60], explain=(i % 4 == 0))
+            for _ in range(3)
+            for i in range(60)
+        ]
+        service = ScoringService(model, version="v", cache_size=30)
+        reference = _run_batched(service, stream)
+        assert service.cache_stats.evictions > 0
+        with ScoringService(
+            model, version="v", n_jobs=2, cache_size=30
+        ) as pooled:
+            _assert_same_answers(_run_batched(pooled, stream), reference)
+            assert pooled.cache_stats == service.cache_stats
+
+    @pytest.mark.parametrize(
+        "spec", ["kill@shard.send:w=0:n=0", "kill@shard.send:w=1:n=2"]
+    )
+    def test_kill_schedules_change_no_answer(self, regressor, spec):
+        model, X = regressor
+        stream = _stream(X, revisits=2, explain_every=1)
+        service = ScoringService(model, version="v", cache_size=50)
+        reference = _run_batched(service, stream, batch=16)
+        with fault_plan(spec), ScoringService(
+            model, version="v", n_jobs=2, cache_size=50
+        ) as pooled:
+            if pooled.workers != 2:
+                pytest.skip("process backend unavailable")
+            _assert_same_answers(_run_batched(pooled, stream, batch=16), reference)
+            assert pooled.cache_stats == service.cache_stats
+            assert pooled.workers_respawned == 1
+
+    def test_dead_worker_respawns_at_a_cache_hot_batch(self, regressor):
+        model, X = regressor
+        with fault_plan("kill@shard.send:w=0:n=0"), ScoringService(
+            model, version="v", n_jobs=2
+        ) as pooled:
+            if pooled.workers != 2:
+                pytest.skip("process backend unavailable")
+            cold = pooled.score_rows(X[:8], explain=True)
+            assert pooled.workers_alive == 1
+            # Every row hits, so no chunk is sent; the batch still
+            # gives the supervisor its chance to respawn the slot.
+            hot = pooled.score_rows(X[:8], explain=True)
+            assert all(r.cached for r in hot)
+            assert pooled.workers_alive == 2
+            assert pooled.workers_respawned == 1
+        assert [result_bits(r, False) for r in hot] == [
+            result_bits(r, False) for r in cold
+        ]
+
+    def test_score_rows_matches_service(self, regressor):
+        model, X = regressor
+        service = ScoringService(model, version="v")
+        reference = service.score_rows(X[:50], explain=True)
+        with ScoringService(model, version="v", n_jobs=2) as pooled:
+            _assert_same_answers(pooled.score_rows(X[:50], explain=True), reference)
+
+    def test_from_registry(self, regressor, tmp_path):
+        model, X = regressor
+        registry = ModelRegistry(tmp_path / "registry")
+        version = registry.publish(
+            "m", model, metadata={"features": [f"c{i}" for i in range(6)]}
+        )
+        with ScoringService.from_registry(registry, "m", n_jobs=2) as pooled:
+            assert pooled.version == version.ref
+            assert pooled.feature_names == [f"c{i}" for i in range(6)]
+            results = pooled.score_rows(X[:5], explain=True)
+        assert results[0].explanation.features[0].startswith("c")
+
+    def test_bad_row_shape_rejected(self, regressor):
+        model, _ = regressor
+        with ScoringService(model, version="v", n_jobs=2) as pooled:
+            with pytest.raises(ValueError, match="request 0"):
+                pooled.score_batch([ScoreRequest(row=np.zeros(3))])
+
+    def test_default_ignores_repro_jobs(self, regressor, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(service_module, "ShardedPool", no_pool)
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        model, _X = regressor
+        assert ScoringService(model).workers == 1
+
+    @pytest.mark.parametrize("source", ["argument", "env"])
+    def test_worker_count_above_ceiling_builds_nothing(
+        self, regressor, monkeypatch, source
+    ):
+        """A bad count fails before the explainer, the DAG or a pool."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the count was checked")
+
+        monkeypatch.setattr(service_module, "ShardedPool", refuse)
+        monkeypatch.setattr(service_module, "TreeShapExplainer", refuse)
+        model, _X = regressor
+        if source == "env":
+            monkeypatch.setenv("REPRO_JOBS", str(MAX_JOBS + 1))
+            with pytest.raises(ValueError, match="REPRO_JOBS must be <="):
+                ScoringService(model, n_jobs=None)
+        else:
+            monkeypatch.delenv("REPRO_JOBS", raising=False)
+            with pytest.raises(ValueError, match="n_jobs must be <="):
+                ScoringService(model, n_jobs=MAX_JOBS + 1)
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_per_cpu_count_on_a_big_host(self, regressor, monkeypatch, n_jobs):
+        seen = []
+
+        class RecordingPool:
+            """Resolves its count like ShardedPool; starts nothing."""
+
+            def __init__(self, *, n_jobs, **kwargs):
+                self.workers = resolve_jobs(n_jobs)
+                seen.append(self.workers)
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(executor.os, "cpu_count", lambda: 2 * MAX_JOBS)
+        monkeypatch.setattr(service_module, "ShardedPool", RecordingPool)
+        model, _X = regressor
+        service = ScoringService(model, n_jobs=n_jobs)
+        service.close()
+        assert seen == [MAX_JOBS]
+        assert service.workers == MAX_JOBS
+
+    @pytest.mark.parametrize(
+        "defect, match",
+        [
+            ("unfitted", "not fitted"),
+            ("mapperless", "BinMapper"),
+            ("binless", "bin thresholds"),
+        ],
+        ids=["unfitted", "mapperless", "binless"],
+    )
+    def test_unservable_model_starts_no_pool(
+        self, regressor, monkeypatch, defect, match
+    ):
+        """A model the service cannot serve fails before any worker."""
+        started = []
+
+        class RecordingPool:
+            """Records every pool the service would start."""
+
+            def __init__(self, **kwargs):
+                started.append(kwargs)
+
+        monkeypatch.setattr(service_module, "ShardedPool", RecordingPool)
+        model, _X = regressor
+        if defect == "unfitted":
+            broken = GBRegressor(n_estimators=2)
+        else:
+            broken = copy.copy(model)
+            if defect == "mapperless":
+                broken.mapper_ = None
+            else:
+                broken.ensemble_ = dataclasses.replace(
+                    model.ensemble_,
+                    trees=[
+                        dataclasses.replace(t, bin_threshold=None)
+                        for t in model.ensemble_.trees
+                    ],
+                )
+        with pytest.raises(ValueError, match=match):
+            ScoringService(broken, n_jobs=2)
+        assert started == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_closed_service_rejects_work(self, regressor, jobs):
+        model, X = regressor
+        service = ScoringService(model, version="v", n_jobs=jobs)
+        service.close()
+        service.close()  # idempotent
+        assert service.workers_alive == 0
+        with pytest.raises(RuntimeError, match="closed"):
+            service.score_batch([ScoreRequest(row=X[0])])
 
 
 class TestCacheBehaviour:

@@ -59,7 +59,6 @@ class TestMetricsPayload:
             max_queue=256,
             rejected=2,
             stats=ServerStats(posts=10, rows=40, micro_batches=7, swaps=1),
-            shard_rows={1: 30, 0: 10},
             workers=2,
             workers_alive=2,
             cache_hits=9,
@@ -87,7 +86,7 @@ class TestMetricsPayload:
         }
         assert payload["requests"]["posts"] == 10
         assert payload["requests"]["rows"] == 40
-        assert payload["shards"]["rows"] == {"0": 10, "1": 30}
+        assert payload["shards"] == {"workers": 2, "workers_alive": 2}
         assert payload["cache"] == {
             "hits": 9,
             "misses": 31,
