@@ -33,6 +33,7 @@ from repro.parallel import executor
 from repro.parallel.executor import MAX_JOBS, resolve_jobs
 from repro.serve import ModelRegistry, ScoreRequest, ScoringService
 from repro.serve import service as service_module
+from repro.serve.registry import model_fingerprint
 from repro.serve.service import ScoreResult, _score_result, stack_request_rows
 
 
@@ -454,6 +455,19 @@ class TestPickleHandoff:
         ]
         assert np.concatenate(chunks).tobytes() == want.tobytes()
 
+    def test_single_process_service_pickles_and_answers_bitwise(self, regressor):
+        """At ``n_jobs=1`` the service holds no pool and stays picklable:
+        the copy answers bit for bit, cold then hot, with equal counters."""
+        model, X = regressor
+        original = ScoringService(model, version="t")
+        copy = pickle.loads(pickle.dumps(original))
+        for _ in range(2):  # cold, then hot
+            _assert_same_answers(
+                copy.score_rows(X[:5], explain=True),
+                original.score_rows(X[:5], explain=True),
+            )
+        assert copy.cache_stats == original.cache_stats
+
     def test_pickled_explainer_bitwise(self, regressor):
         model, X = regressor
         baseline = TreeShapExplainer(model)
@@ -631,6 +645,12 @@ class TestWorkers:
             assert pooled.feature_names == [f"c{i}" for i in range(6)]
             results = pooled.score_rows(X[:5], explain=True)
         assert results[0].explanation.features[0].startswith("c")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_version_defaults_to_fingerprint(self, regressor, jobs):
+        model, _X = regressor
+        with ScoringService(model, n_jobs=jobs) as service:
+            assert service.version == model_fingerprint(model_to_dict(model))
 
     def test_bad_row_shape_rejected(self, regressor):
         model, _ = regressor
